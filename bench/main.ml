@@ -69,7 +69,12 @@ let reg ~name ?(batch = 1) f =
   in
   registry := (name, batch, Ols t) :: !registry
 
-let reg_median ~name ?(batch = 1) f =
+(* Layer tags for the kernels that time one layer of the request path
+   in isolation (ROADMAP aim 1); written to the JSON dump. *)
+let layers : (string * string) list ref = ref []
+
+let reg_median ~name ?layer ?(batch = 1) f =
+  Option.iter (fun l -> layers := (name, l) :: !layers) layer;
   registry := (name, batch, Median f) :: !registry
 
 (* --- kernels, one per table/figure -------------------------------------- *)
@@ -378,7 +383,7 @@ let () =
    either queue. *)
 let () =
   let churn sched name =
-    reg_median ~name (fun () ->
+    reg_median ~name ~layer:"event-core" (fun () ->
         let e = Engine.create ~sched () in
         let counter = ref 0 in
         let cls = Engine.register_class e (fun a _ -> counter := !counter + a) in
@@ -393,6 +398,27 @@ let () =
   in
   churn Engine.Wheel "engine_churn_wheel_100k";
   churn Engine.Heap "engine_churn_heap_100k"
+
+(* One-tick fan-out: 65,536 packed events at one identical delay, then
+   drained — the shape of a census or test(d) wave under constant δ.
+   The wheel drains it as one sorted run; the heap sifts every event.
+   The engine is reused across shots, so the median-runner warmup grows
+   its arena and the shots time only the event core. *)
+let () =
+  let fanout sched name =
+    let e = Engine.create ~sched () in
+    let counter = ref 0 in
+    let cls = Engine.register_class e (fun a _ -> counter := !counter + a) in
+    reg_median ~name ~layer:"event-core" (fun () ->
+        counter := 0;
+        for _ = 1 to 65_536 do
+          ignore (Engine.schedule_packed e ~delay:1.0 ~cls ~a:1 ~b:0)
+        done;
+        Engine.run e;
+        assert (!counter = 65_536))
+  in
+  fanout Engine.Wheel "engine_fanout_wheel_64k";
+  fanout Engine.Heap "engine_fanout_heap_64k"
 
 (* One heavy-traffic open-loop cell (the sweep's unit of work): 64 nodes,
    aggregate Poisson at 1.2x capacity over 200 time units, drained. *)
@@ -466,6 +492,8 @@ let quick_names =
     "simulate_n_1M";
     "engine_churn_wheel_100k";
     "engine_churn_heap_100k";
+    "engine_fanout_wheel_64k";
+    "engine_fanout_heap_64k";
     "sweep_open_loop_heavy_n64";
     "scale_packed_encode_256";
     "tbl_modelcheck_p2_w1";
@@ -480,10 +508,15 @@ let write_json file rows =
   let last = List.length rows - 1 in
   List.iteri
     (fun k (name, t, r2, meth) ->
+      let layer =
+        match List.assoc_opt name !layers with
+        | Some l -> Printf.sprintf ", \"layer\": %S" l
+        | None -> ""
+      in
       Printf.fprintf oc
-        "  { \"kernel\": %S, \"ns_per_iter\": %s, \"method\": %S, \"r2\": %s \
-         }%s\n"
-        name (num t) meth (num r2)
+        "  { \"kernel\": %S, \"ns_per_iter\": %s, \"method\": %S, \"r2\": \
+         %s%s }%s\n"
+        name (num t) meth (num r2) layer
         (if k = last then "" else ","))
     rows;
   output_string oc "]\n";

@@ -863,9 +863,10 @@ module Make (R : Runtime.S) = struct
       s.outstanding <- ring;
       s.try_later <- [];
       t.s_search_nodes_tested <- t.s_search_nodes_tested + List.length ring;
-      List.iter
-        (fun k -> send t ~src:i ~dst:k (Message.Test { d = s.phase }))
-        ring;
+      (* One payload for the whole wave: every destination receives the
+         same immutable message. *)
+      let probe = Message.Test { d = s.phase } in
+      List.iter (fun k -> send t ~src:i ~dst:k probe) ring;
       arm_phase_timer t i s
     end
 
@@ -894,9 +895,8 @@ module Make (R : Runtime.S) = struct
           s.try_later <- [];
           t.s_search_nodes_tested <-
             t.s_search_nodes_tested + List.length s.outstanding;
-          List.iter
-            (fun k -> send t ~src:i ~dst:k (Message.Test { d = s.phase }))
-            s.outstanding;
+          let probe = Message.Test { d = s.phase } in
+          List.iter (fun k -> send t ~src:i ~dst:k probe) s.outstanding;
           arm_phase_timer t i s
         end
         else begin
@@ -920,8 +920,9 @@ module Make (R : Runtime.S) = struct
     end
 
   and census_send t i s round =
+    let census = Message.Census { round } in
     for k = 0 to t.n - 1 do
-      if k <> i then send t ~src:i ~dst:k (Message.Census { round })
+      if k <> i then send t ~src:i ~dst:k census
     done;
     cancel_slot t s.phase_timer;
     s.phase_timer <-

@@ -79,22 +79,27 @@ module Message = struct
       Format.fprintf ppf "ra_request(%d, %d)" origin clock
     | Ra_reply -> Format.pp_print_string ppf "ra_reply"
 
-  let category = function
-    | Request _ -> "request"
-    | Token _ -> "token"
-    | Enquiry _ -> "enquiry"
-    | Enquiry_answer _ -> "enquiry_answer"
-    | Test _ -> "test"
-    | Test_answer _ -> "test_answer"
-    | Anomaly _ -> "anomaly"
-    | Void _ -> "void"
-    | Census _ -> "census"
-    | Census_reply _ -> "census_reply"
-    | Release -> "release"
-    | Sk_request _ -> "request"
-    | Sk_privilege _ -> "token"
-    | Ra_request _ -> "request"
-    | Ra_reply -> "reply"
+  let categories =
+    [|
+      "request"; "token"; "enquiry"; "enquiry_answer"; "test"; "test_answer";
+      "anomaly"; "void"; "census"; "census_reply"; "release"; "reply";
+    |]
+
+  let[@ocube.zero_alloc] category_index = function
+    | Request _ | Sk_request _ | Ra_request _ -> 0
+    | Token _ | Sk_privilege _ -> 1
+    | Enquiry _ -> 2
+    | Enquiry_answer _ -> 3
+    | Test _ -> 4
+    | Test_answer _ -> 5
+    | Anomaly _ -> 6
+    | Void _ -> 7
+    | Census _ -> 8
+    | Census_reply _ -> 9
+    | Release -> 10
+    | Ra_reply -> 11
+
+  let category m = categories.(category_index m)
 
   let origin = function
     | Request { rid; _ } -> Some rid.source

@@ -89,9 +89,17 @@ module Message : sig
 
   val pp : Format.formatter -> t -> unit
 
-  val category : t -> string
+  val categories : string array
   (** "request" | "token" | "enquiry" | "enquiry_answer" | "test"
-      | "test_answer" | "anomaly" | "void" | "release". *)
+      | "test_answer" | "anomaly" | "void" | "census" | "census_reply"
+      | "release" | "reply". *)
+
+  val category_index : t -> int
+  (** Index into {!categories} of the message's label; the baselines'
+      requests, tokens and replies share the open cube's labels. *)
+
+  val category : t -> string
+  (** [categories.(category_index m)]. *)
 
   val origin : t -> node_id option
   (** The node on whose account this message travels: the request chain

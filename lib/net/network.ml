@@ -7,7 +7,9 @@ module type PAYLOAD = sig
 
   val pp : Format.formatter -> t -> unit
 
-  val category : t -> string
+  val categories : string array
+
+  val category_index : t -> int
 end
 
 type delay_model =
@@ -48,7 +50,8 @@ module Make (P : PAYLOAD) = struct
     mutable drop_handler : (dst:int -> P.t -> unit) option;
     mutable default_handler : (dst:int -> src:int -> P.t -> unit) option;
     mutable send_hook : (src:int -> dst:int -> P.t -> unit) option;
-    categories : (string, int) Hashtbl.t;
+    (* Sends per category, indexed like [P.categories]. *)
+    cat_counts : int array;
     (* In-flight message arena: the hot delivery path schedules a packed
        engine event whose payload word indexes these parallel arrays — no
        per-message closure, no per-message record. Slots recycle through
@@ -146,10 +149,15 @@ module Make (P : PAYLOAD) = struct
     | Uniform { lo; hi } -> lo +. Rng.float t.rng (hi -. lo)
     | Exponential { mean; cap } -> Float.min cap (Rng.exponential t.rng ~mean)
 
-  let bump_category t payload =
-    let c = P.category payload in
-    let cur = try Hashtbl.find t.categories c with Not_found -> 0 in
-    Hashtbl.replace t.categories c (cur + 1)
+  let[@ocube.zero_alloc] bump_category t payload =
+    let c =
+      (P.category_index payload)
+      [@ocube.alloc_ok
+        (* functor argument, not modelled by the call graph: the protocol
+           payload's index is a constant-returning match, proven
+           zero-alloc where it is defined *)]
+    in
+    t.cat_counts.(c) <- t.cat_counts.(c) + 1
 
   (* Fire a packed delivery event: read the message slot into locals,
      recycle it (nested sends reuse it immediately), then run exactly the
@@ -219,7 +227,7 @@ module Make (P : PAYLOAD) = struct
         drop_handler = None;
         default_handler = None;
         send_hook = None;
-        categories = Hashtbl.create 16;
+        cat_counts = Array.make (Array.length P.categories) 0;
         deliver_cls;
         m_cap = 0;
         m_src = [||];
@@ -240,9 +248,7 @@ module Make (P : PAYLOAD) = struct
       invalid_arg
         (Printf.sprintf "Network.send: node %d is failed and cannot send" src);
     t.sent <- t.sent + 1;
-    (bump_category t payload)
-    [@ocube.alloc_ok
-      (* per-category hashtable bump; inside the 64-words/send budget *)];
+    bump_category t payload;
     (match t.send_hook with None -> () | Some h -> h ~src ~dst payload)
     [@ocube.alloc_ok (* observer dispatch; absent on the measured path *)];
     (if tracing t then
@@ -307,12 +313,15 @@ module Make (P : PAYLOAD) = struct
   let dropped_total t = t.dropped
 
   let sent_by_category t =
-    Hashtbl.fold (fun c n acc -> (c, n) :: acc) t.categories []
-    |> List.sort compare
+    let acc = ref [] in
+    Array.iteri
+      (fun i n -> if n > 0 then acc := (P.categories.(i), n) :: !acc)
+      t.cat_counts;
+    List.sort compare !acc
 
   let reset_counters t =
     t.sent <- 0;
     t.delivered <- 0;
     t.dropped <- 0;
-    Hashtbl.reset t.categories
+    Array.fill t.cat_counts 0 (Array.length t.cat_counts) 0
 end

@@ -22,9 +22,14 @@ module type PAYLOAD = sig
 
   val pp : Format.formatter -> t -> unit
 
-  val category : t -> string
-  (** Short label used for per-category message counters
-      ("request", "token", "test", ...). *)
+  val categories : string array
+  (** The labels of the per-category message counters ("request",
+      "token", "test", ...), each listed once. *)
+
+  val category_index : t -> int
+  (** Index into {!categories} of the label a message is counted under.
+      {!Make.send} calls it on every message, so it should be a
+      constant-time, allocation-free match. *)
 end
 
 (** How per-message transit delays are sampled. All models are clamped to
@@ -135,7 +140,7 @@ module Make (P : PAYLOAD) : sig
   (** Messages lost because the destination failed. *)
 
   val sent_by_category : t -> (string * int) list
-  (** Ascending by category name. *)
+  (** Every category with at least one send, ascending by name. *)
 
   val reset_counters : t -> unit
   (** Zero all counters (used to measure a window of a run, e.g. messages

@@ -7,7 +7,10 @@
 
    - [Wheel] (default): hashed hierarchical timing wheel, O(1)
      schedule/fire for the bounded-delay events that dominate
-     simulation, overflow heap for the far future.
+     simulation, overflow heap for the far future. The tick being
+     drained is a sorted run plus a near-heap of late arrivals, so a
+     constant-delay wave of thousands of same-tick messages also costs
+     O(1) per event.
    - [Heap]: the classic binary heap, kept as the determinism oracle.
 
    Both pull slots from the same arena, so sequence numbers — and hence

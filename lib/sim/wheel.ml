@@ -4,24 +4,34 @@
    [ab = floor(time / tick)] by its distance [d = ab - cur] from the
    wheel's current tick:
 
-     d = 0                the near-heap (the tick being drained)
+     d = 0                the tick being drained: its sorted run, or
+                          the near-heap for late arrivals
      d in [1, 2^8)        level 0, bucket [ab land 255]
      d in [2^8, 2^16)     level 1, bucket [(ab lsr 8) land 255]
      d in [2^16, 2^24)    level 2, bucket [(ab lsr 16) land 255]
      d >= 2^24            the far-future overflow heap
 
    Buckets are intrusive singly-linked lists through the arena's [next]
-   words, so schedule and fire are O(1) and allocation-free. Every event
-   in a level-0 bucket shares one tick index; when [cur] reaches it the
-   whole bucket moves into the near-heap, a tiny binary heap ordered by
-   the arena's exact [(time, seq)] key. Firing therefore follows the
-   global [(time, seq)] order bit-for-bit — the wheel is order-identical
-   to the binary-heap scheduler, which stays available as the
-   determinism oracle.
+   words, so schedule is O(1) and allocation-free. Every event in a
+   level-0 bucket shares one tick index. When [cur] reaches it, the
+   bucket becomes the current-tick run: a list sorted by the arena's
+   exact [(time, seq)] key with a natural merge sort over the [next]
+   links. Under a constant delay δ a message wave is scheduled in
+   [(time, seq)] order, so the sort finds one run in a single O(n) scan
+   and each event then costs O(1) to pop: no per-event sift, however
+   many thousands of events share the tick. Events that enter the tick
+   after it started — zero-delay schedules, delays too short to leave
+   the tick, [run ~until] push-backs — go to the near-heap, a binary
+   heap on the same key that holds only those late arrivals. [pop]
+   takes the earlier of the run head and the near-heap top, so firing
+   follows the global [(time, seq)] order bit-for-bit — the wheel is
+   order-identical to the binary-heap scheduler, which stays available
+   as the determinism oracle.
 
    Higher-level buckets cascade exactly as in the classic kernel timer
    wheel: when [cur] crosses a multiple of 2^8 the matching level-1
-   bucket is redistributed (its events now have d < 2^8), multiples of
+   bucket is redistributed (its events now have d < 2^8; those of tick
+   [cur] itself join the bucket about to become the run), multiples of
    2^16 redistribute level 2, and multiples of 2^24 pull the overflow
    heap up to the next 2^24-tick horizon. Advancing skips empty regions
    without scanning: if a level is empty the cursor jumps straight to
@@ -62,6 +72,7 @@ type t = {
   level_live : int array;
   mutable cur : int;  (* absolute index of the tick being drained *)
   mutable horizon : int;  (* overflow pulled up to this tick *)
+  mutable run : int;  (* sorted events of tick [cur], linked via [next] *)
 }
 
 let create ~arena ~tick =
@@ -76,6 +87,7 @@ let create ~arena ~tick =
     level_live = Array.make levels 0;
     cur = 0;
     horizon = span2;
+    run = Arena.no_slot;
   }
 
 let abucket t time =
@@ -88,18 +100,31 @@ let[@ocube.zero_alloc] link t lvl idx s =
   t.buckets.(i) <- s;
   t.level_live.(lvl) <- t.level_live.(lvl) + 1
 
-let[@ocube.zero_alloc] insert t s =
-  (* Read through the backing array ({!Arena.times}): no float is boxed
-     here even with cross-module inlining off. *)
+(* The slot's tick index, clamped to the current tick. Reads through the
+   backing array ({!Arena.times}): no float is boxed here even with
+   cross-module inlining off. *)
+let[@ocube.zero_alloc] slot_tick t s =
   let f = Float.Array.get (Arena.times t.arena) s *. t.tick_inv in
   let ab = if f >= float_of_int max_cur then max_int else int_of_float f in
-  let ab = if ab < t.cur then t.cur else ab in
+  if ab < t.cur then t.cur else ab
+
+let[@ocube.zero_alloc] file_at t s ab =
   let d = ab - t.cur in
-  if d = 0 then Arena.Slot_heap.push t.near s
-  else if d < span0 then link t 0 (ab land w_mask) s
+  if d < span0 then link t 0 (ab land w_mask) s
   else if d < span1 then link t 1 ((ab lsr w_bits) land w_mask) s
   else if d < span2 then link t 2 ((ab lsr (2 * w_bits)) land w_mask) s
   else Arena.Slot_heap.push t.overflow s
+
+(* Bucket a slot while the cursor moves (cascades, overflow pulls):
+   events of the new current tick join its level-0 bucket, which
+   [move_current] then sorts into the run. *)
+let[@ocube.zero_alloc] file t s = file_at t s (slot_tick t s)
+
+(* A slot scheduled into the tick already being drained is a late
+   arrival: it goes to the near-heap, which [pop] merges with the run. *)
+let[@ocube.zero_alloc] insert t s =
+  let ab = slot_tick t s in
+  if ab = t.cur then Arena.Slot_heap.push t.near s else file_at t s ab
 
 (* Drop cancelled events from the overflow top; peek the live head. *)
 let[@ocube.zero_alloc] rec overflow_head t =
@@ -119,19 +144,20 @@ let[@ocube.zero_alloc] rec pull t =
     && abucket t (Float.Array.get (Arena.times t.arena) s) < t.horizon
   then begin
     ignore (Arena.Slot_heap.pop t.overflow);
-    insert t s;
+    file t s;
     pull t
   end
 
 (* Redistribute one higher-level bucket: its events now sit less than a
    level-span away from [cur] and fall through to lower levels (or the
-   near-heap). Cancelled events are reclaimed instead of reinserted. *)
+   current tick's bucket). Cancelled events are reclaimed instead of
+   reinserted. *)
 let[@ocube.zero_alloc] rec requeue_bucket t lvl s =
   if s <> Arena.no_slot then begin
     let nxt = Arena.next t.arena s in
     t.level_live.(lvl) <- t.level_live.(lvl) - 1;
     if Arena.is_tombstone t.arena s then Arena.release t.arena s
-    else insert t s;
+    else file t s;
     requeue_bucket t lvl nxt
   end
 
@@ -141,22 +167,116 @@ let[@ocube.zero_alloc] cascade t lvl idx =
   t.buckets.(i) <- Arena.no_slot;
   requeue_bucket t lvl head
 
-(* The level-0 bucket at [cur] holds exactly the events of tick [cur]:
-   move them into the near-heap, which orders them by (time, seq). *)
-let[@ocube.zero_alloc] rec near_bucket t s =
-  if s <> Arena.no_slot then begin
+(* --- the current-tick run ------------------------------------------------
+
+   When [cur] reaches a level-0 bucket, its events become the sorted
+   run [t.run]. The bucket is LIFO (every [link] prepends), so a first
+   pass reverses it into scheduling order, reclaiming tombstones; for a
+   constant-delay wave that order is already ascending in [(time, seq)]
+   and the natural merge sort below finds a single run in one O(n)
+   scan. Anything else (a cascade from level 1, mixed delays) costs
+   O(n log runs). The sort only relinks the arena's [next] words; it
+   uses no buffer, so it allocates nothing and [create] pays nothing. *)
+
+(* Reverse a level-0 bucket list onto [acc], releasing tombstones;
+   returns the reversed head. *)
+let[@ocube.zero_alloc] rec unlink_bucket t s acc =
+  if s = Arena.no_slot then acc
+  else begin
     let nxt = Arena.next t.arena s in
     t.level_live.(0) <- t.level_live.(0) - 1;
-    if Arena.is_tombstone t.arena s then Arena.release t.arena s
-    else Arena.Slot_heap.push t.near s;
-    near_bucket t nxt
+    if Arena.is_tombstone t.arena s then begin
+      Arena.release t.arena s;
+      unlink_bucket t nxt acc
+    end
+    else begin
+      Arena.set_next t.arena s acc;
+      unlink_bucket t nxt s
+    end
   end
 
+let[@ocube.zero_alloc] rec cut_run t last s =
+  if s <> Arena.no_slot && Arena.before t.arena last s then
+    cut_run t s (Arena.next t.arena s)
+  else begin
+    Arena.set_next t.arena last Arena.no_slot;
+    s
+  end
+
+(* Detach the maximal ascending run that starts at [s] (non-empty);
+   returns the rest of the list. *)
+let[@ocube.zero_alloc] take_run t s = cut_run t s (Arena.next t.arena s)
+
+let[@ocube.zero_alloc] rec last_of t s =
+  let n = Arena.next t.arena s in
+  if n = Arena.no_slot then s else last_of t n
+
+(* Merge two ascending lists behind [last], at most one of them empty;
+   returns the merged tail. *)
+let[@ocube.zero_alloc] rec merge_into t last a b =
+  if a = Arena.no_slot then begin
+    Arena.set_next t.arena last b;
+    last_of t b
+  end
+  else if b = Arena.no_slot then begin
+    Arena.set_next t.arena last a;
+    last_of t a
+  end
+  else if Arena.before t.arena a b then begin
+    Arena.set_next t.arena last a;
+    merge_into t a (Arena.next t.arena a) b
+  end
+  else begin
+    Arena.set_next t.arena last b;
+    merge_into t b a (Arena.next t.arena b)
+  end
+
+(* Merge two non-empty ascending runs; returns the merged tail. The
+   merged head is whichever of [a] and [b] comes first. *)
+let[@ocube.zero_alloc] merge t a b =
+  if Arena.before t.arena a b then merge_into t a (Arena.next t.arena a) b
+  else merge_into t b a (Arena.next t.arena b)
+
+let[@ocube.zero_alloc] first t a b = if Arena.before t.arena a b then a else b
+
+(* One bottom-up pass over the list at [s]: merge adjacent run pairs
+   and append each result behind [out_tail]. *)
+let[@ocube.zero_alloc] rec merge_pass t out_tail s =
+  if s <> Arena.no_slot then begin
+    let r = take_run t s in
+    if r = Arena.no_slot then Arena.set_next t.arena out_tail s
+    else begin
+      let rest = take_run t r in
+      Arena.set_next t.arena out_tail (first t s r);
+      merge_pass t (merge t s r) rest
+    end
+  end
+
+(* Natural merge sort by [(time, seq)]: one O(n) scan for a list that is
+   already sorted, ceil(log2 runs) passes otherwise. *)
+let[@ocube.zero_alloc] rec sort_slots t head =
+  let r = take_run t head in
+  if r = Arena.no_slot then head
+  else begin
+    (* The first pair is merged here to fix the list head; the pass
+       appends every later pair behind it. *)
+    let rest = take_run t r in
+    let h = first t head r in
+    merge_pass t (merge t head r) rest;
+    sort_slots t h
+  end
+
+(* The level-0 bucket at [cur] holds exactly the events of tick [cur];
+   make them the sorted run. Called only once the previous run and the
+   near-heap are both drained. *)
 let[@ocube.zero_alloc] move_current t =
   let i = t.cur land w_mask in
   let head = t.buckets.(i) in
-  t.buckets.(i) <- Arena.no_slot;
-  near_bucket t head
+  if head <> Arena.no_slot then begin
+    t.buckets.(i) <- Arena.no_slot;
+    let rev = unlink_bucket t head Arena.no_slot in
+    if rev <> Arena.no_slot then t.run <- sort_slots t rev
+  end
 
 (* All wheels empty: jump to the overflow head's tick. Ticks beyond
    [max_cur] conflate in [abucket]; parking [cur] at [max_cur] routes
@@ -182,7 +302,8 @@ let[@ocube.zero_alloc] jump t =
     else begin
       if ab0 > t.cur then t.cur <- ab0;
       t.horizon <- ((t.cur lsr (3 * w_bits)) + 1) lsl (3 * w_bits);
-      pull t
+      pull t;
+      move_current t
     end
   end
 
@@ -216,13 +337,25 @@ let[@ocube.zero_alloc] advance t =
   end
   else false
 
+(* The earlier of the run head and the near-heap top. The cursor only
+   advances once both are drained. *)
 let[@ocube.zero_alloc] rec pop t =
-  let s = Arena.Slot_heap.pop t.near in
-  if s <> Arena.no_slot then
+  let r = t.run in
+  let h = Arena.Slot_heap.peek t.near in
+  if r = Arena.no_slot && h = Arena.no_slot then
+    if advance t then pop t else Arena.no_slot
+  else begin
+    let s =
+      if r <> Arena.no_slot && (h = Arena.no_slot || Arena.before t.arena r h)
+      then begin
+        t.run <- Arena.next t.arena r;
+        r
+      end
+      else Arena.Slot_heap.pop t.near
+    in
     if Arena.is_tombstone t.arena s then begin
       Arena.release t.arena s;
       pop t
     end
     else s
-  else if advance t then pop t
-  else Arena.no_slot
+  end

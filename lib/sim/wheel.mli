@@ -3,17 +3,18 @@
     The fast queue discipline behind {!Ocube_sim.Engine}: three levels of
     256 intrusive buckets give O(1) insert and amortised-O(1) pop for the
     bounded-delay events that dominate simulation, with a far-future
-    overflow heap and an exact [(time, seq)]-ordered near-heap for the
-    tick being drained — so the fire order is bit-identical to the binary
-    heap scheduler. Tombstoned (cancelled) slots are reclaimed lazily as
-    they surface. *)
+    overflow heap. The tick being drained is a run sorted by the exact
+    [(time, seq)] key (O(1) per event for a constant-delay wave) plus a
+    near-heap for events scheduled into it after it started — so the fire
+    order is bit-identical to the binary heap scheduler. Tombstoned
+    (cancelled) slots are reclaimed lazily as they surface. *)
 
 type t
 
 val create : arena:Arena.t -> tick:float -> t
 (** [tick] is the bucket granularity in virtual-time units; events within
-    the same tick are ordered exactly by the near-heap, so [tick] affects
-    performance only.
+    the same tick are ordered exactly by their [(time, seq)] key, so
+    [tick] affects performance only.
     @raise Invalid_argument if [tick] is not positive and finite. *)
 
 val insert : t -> int -> unit

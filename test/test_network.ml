@@ -11,7 +11,9 @@ module P = struct
     | Ping k -> Format.fprintf ppf "ping(%d)" k
     | Pong -> Format.pp_print_string ppf "pong"
 
-  let category = function Ping _ -> "ping" | Pong -> "pong"
+  let categories = [| "ping"; "pong" |]
+
+  let category_index = function Ping _ -> 0 | Pong -> 1
 end
 
 module Net = Ocube_net.Network.Make (P)

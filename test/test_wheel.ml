@@ -223,43 +223,219 @@ let test_packed_parity () =
   in
   checks "identical packed fire log" (run Engine.Heap) (run Engine.Wheel)
 
+(* --- one-tick fan-out waves ------------------------------------------------- *)
+
+(* A message wave under constant delay lands in one wheel tick, which
+   the wheel drains as a sorted run plus a near-heap of late arrivals.
+   Each scenario below hits one way the run and the near-heap meet, and
+   must leave the same fire log under both schedulers. Events are
+   packed; a fired event logs its payload word and fire time. *)
+
+let wave = 65_536
+
+type fanout = {
+  e : Engine.t;
+  log : Buffer.t;
+  cls : Engine.class_id;
+  ids : Engine.timer_id option array;
+}
+
+let fanout_env sched =
+  let e = Engine.create ~sched () in
+  let log = Buffer.create (16 * wave) in
+  let cls =
+    Engine.register_class e (fun a _ ->
+        Printf.bprintf log "%d@%h;" a (Engine.now e))
+  in
+  { e; log; cls; ids = Array.make wave None }
+
+let sched_wave f ~delay ~from ~count =
+  for a = from to from + count - 1 do
+    f.ids.(a) <- Some (Engine.schedule_packed f.e ~delay ~cls:f.cls ~a ~b:0)
+  done
+
+let cancel_wave f a = Option.iter (Engine.cancel f.e) f.ids.(a)
+
+let check_fanout name scenario =
+  let run sched =
+    let f = fanout_env sched in
+    scenario f;
+    Engine.run f.e;
+    checki "drained" 0 (Engine.pending f.e);
+    Buffer.contents f.log
+  in
+  let wheel = run Engine.Wheel in
+  checks name (run Engine.Heap) wheel;
+  wheel
+
+(* 2^16 events at one identical time: the run is the whole wave, in
+   schedule order. *)
+let test_fanout_same_time () =
+  let log =
+    check_fanout "same-time wave" (fun f ->
+        sched_wave f ~delay:3.0 ~from:0 ~count:wave)
+  in
+  let want = Buffer.create (16 * wave) in
+  for a = 0 to wave - 1 do
+    Printf.bprintf want "%d@%h;" a 3.0
+  done;
+  checks "FIFO among equal times" (Buffer.contents want) log
+
+(* Part of the wave is scheduled more than a level-0 span ahead (level
+   1), the rest from within the span (level 0), all for tick 256: the
+   cascade re-links the level-1 part into the bucket behind the level-0
+   part, so the bucket is unsorted when it becomes current. Alternating
+   fire times inside the tick break both parts into many short runs, so
+   the sort needs several merge passes. *)
+let test_fanout_cascaded () =
+  ignore
+  @@ check_fanout "cascaded wave" (fun f ->
+         let half = wave / 2 in
+         for a = 0 to half - 1 do
+           let delay = if a land 1 = 0 then l0_span else l0_span +. 0.125 in
+           sched_wave f ~delay ~from:a ~count:1
+         done;
+         ignore
+           (Engine.schedule f.e ~delay:(l0_span -. 10.0) (fun () ->
+                for a = half to wave - 1 do
+                  let delay = if a mod 3 = 0 then 10.0 else 10.0625 in
+                  sched_wave f ~delay ~from:a ~count:1
+                done)))
+
+(* Handlers in the middle of the wave schedule zero-delay events (same
+   time, later seq) and events later in the same tick: late arrivals
+   that the near-heap must interleave with the run, whose second half
+   fires later in the tick. *)
+let test_fanout_zero_delay () =
+  ignore
+  @@ check_fanout "zero-delay schedules mid-wave" (fun f ->
+         let spawn =
+           Engine.register_class f.e (fun a _ ->
+               Printf.bprintf f.log "s%d@%h;" a (Engine.now f.e);
+               ignore
+                 (Engine.schedule_packed f.e ~delay:0.0 ~cls:f.cls
+                    ~a:(wave + a) ~b:0);
+               ignore
+                 (Engine.schedule_packed f.e ~delay:0.0625 ~cls:f.cls
+                    ~a:((2 * wave) + a) ~b:0))
+         in
+         for a = 0 to wave - 1 do
+           let delay = if a < wave / 2 then 3.0 else 3.125 in
+           if a mod 997 = 0 then
+             ignore (Engine.schedule_packed f.e ~delay ~cls:spawn ~a ~b:0)
+           else sched_wave f ~delay ~from:a ~count:1
+         done)
+
+(* Handlers cancel events of the current tick that have not fired yet
+   (and some that already have: stale ids are no-ops). *)
+let test_fanout_cancels () =
+  ignore @@ check_fanout "cancels inside the current tick" (fun f ->
+      let canceller =
+        Engine.register_class f.e (fun a _ ->
+            Printf.bprintf f.log "c%d;" a;
+            cancel_wave f ((a + 500) mod wave);
+            cancel_wave f ((a + wave - 500) mod wave))
+      in
+      for a = 0 to wave - 1 do
+        if a mod 101 = 0 then
+          f.ids.(a) <-
+            Some (Engine.schedule_packed f.e ~delay:3.0 ~cls:canceller ~a ~b:0)
+        else sched_wave f ~delay:3.0 ~from:a ~count:1
+      done;
+      (* cancel a slice before the tick starts, too *)
+      for a = 1000 to 1099 do
+        cancel_wave f a
+      done)
+
+(* [run ~until] stops inside the tick: the first event past the horizon
+   is pushed back into the tick being drained, then fresh zero-delay
+   events join before the run resumes. *)
+let test_fanout_until_pushback () =
+  ignore @@ check_fanout "run ~until push-back mid-run" (fun f ->
+      let half = wave / 2 in
+      for a = 0 to half - 1 do
+        sched_wave f ~delay:3.0 ~from:(2 * a) ~count:1;
+        sched_wave f ~delay:3.125 ~from:((2 * a) + 1) ~count:1
+      done;
+      Engine.run ~until:3.0 f.e;
+      Printf.bprintf f.log "paused@%h;" (Engine.now f.e);
+      for a = 0 to 99 do
+        ignore
+          (Engine.schedule_packed f.e ~delay:0.0 ~cls:f.cls ~a:(wave + a) ~b:0);
+        ignore
+          (Engine.schedule_packed f.e ~delay:0.0625 ~cls:f.cls
+             ~a:(wave + 100 + a) ~b:0)
+      done)
+
 (* Steady-state packed schedule/fire must not allocate on the minor heap:
    the whole point of the arena encoding is a closure-free hot path. The
    budget (a tenth of a word per event) only absorbs the measurement's
-   own boxed [Gc.minor_words] results. *)
+   own boxed [Gc.minor_words] results. Three shapes: small bursts, a
+   2^16-event same-time wave (one sorted run), and a cascaded wave whose
+   tick mixes level-1 and level-0 halves (an unsorted bucket, merged). *)
 let test_packed_zero_alloc () =
   let e = Engine.create ~sched:Engine.Wheel () in
   let acc = ref 0 in
   let cls = Engine.register_class e (fun a b -> acc := !acc + a + b) in
-  let burst () =
-    for i = 1 to 1024 do
+  let ten = 10.0 in
+  (* Schedules [a] events [ten] ahead: the level-0 half of a cascade. *)
+  let spawn =
+    Engine.register_class e (fun n _ ->
+        for i = 1 to n do
+          ignore (Engine.schedule_packed e ~delay:ten ~cls ~a:i ~b:1)
+        done)
+  in
+  let burst n () =
+    for i = 1 to n do
       ignore (Engine.schedule_packed e ~delay:3.0 ~cls ~a:i ~b:1)
     done;
     Engine.run e
   in
-  (* warm-up grows the arena and the wheel to steady state *)
-  burst ();
-  burst ();
-  let before = Gc.minor_words () in
-  burst ();
-  let per_event = (Gc.minor_words () -. before) /. 1024.0 in
-  checkb
-    (Printf.sprintf "allocation-free schedule/fire (%.2f words/event)"
-       per_event)
-    true (per_event <= 0.1)
+  let cascaded () =
+    (* The next tick index that is a multiple of 256 and at least one
+       level-0 span away: the first half waits in level 1. *)
+    let target = (Float.round (Engine.now e /. l0_span) +. 2.0) *. l0_span in
+    (* Boxed once here, not once per call: a float kept unboxed in a
+       local would be re-boxed at every [schedule_packed]. *)
+    let far = Sys.opaque_identity (target -. Engine.now e) in
+    let near = Sys.opaque_identity (far -. ten) in
+    for i = 1 to wave / 2 do
+      ignore (Engine.schedule_packed e ~delay:far ~cls ~a:i ~b:1)
+    done;
+    ignore (Engine.schedule_packed e ~delay:near ~cls:spawn ~a:(wave / 2) ~b:0);
+    Engine.run e
+  in
+  let per_event name n f =
+    (* warm-up grows the arena and the wheel to steady state *)
+    f ();
+    f ();
+    let before = Gc.minor_words () in
+    f ();
+    let per_event = (Gc.minor_words () -. before) /. float_of_int n in
+    checkb
+      (Printf.sprintf "allocation-free %s (%.3f words/event)" name per_event)
+      true (per_event <= 0.1)
+  in
+  per_event "schedule/fire" 1024 (burst 1024);
+  per_event "same-time wave" wave (burst wave);
+  per_event "cascaded wave" wave cascaded
 
 (* --- qcheck: randomized script parity -------------------------------------- *)
 
 type item = { delay : float; nested : float list; cancel : int option }
 
 (* Delays as small multiples of an eighth keep every sum exactly
-   representable; the boundary list salts in the level-span edges. *)
+   representable; the boundary list salts in the level-span edges. Half
+   the draws come from a four-value pool, so most scripts hold exact
+   time ties: same-time waves, and nested events landing on queued
+   ones. *)
 let delay_gen =
   QCheck.Gen.(
-    oneof
+    frequency
       [
-        map (fun i -> float_of_int i /. 8.0) (int_bound 2048);
-        oneofl boundary_delays;
+        (2, map (fun i -> float_of_int i /. 8.0) (int_bound 2048));
+        (1, oneofl boundary_delays);
+        (3, oneofl [ 0.0; 1.0; 1.125; l0_span ]);
       ])
 
 let script_gen =
@@ -355,6 +531,13 @@ let suite =
       test_reschedule_at_boundaries;
     Alcotest.test_case "run ~until push-back" `Quick test_run_until_pushback;
     Alcotest.test_case "packed fire parity" `Quick test_packed_parity;
+    Alcotest.test_case "fan-out: same-time wave" `Quick test_fanout_same_time;
+    Alcotest.test_case "fan-out: cascaded wave" `Quick test_fanout_cascaded;
+    Alcotest.test_case "fan-out: zero-delay mid-wave" `Quick
+      test_fanout_zero_delay;
+    Alcotest.test_case "fan-out: cancels in the tick" `Quick test_fanout_cancels;
+    Alcotest.test_case "fan-out: run ~until push-back" `Quick
+      test_fanout_until_pushback;
     Alcotest.test_case "packed zero-alloc" `Quick test_packed_zero_alloc;
     Alcotest.test_case "fuzz checksum parity" `Quick test_fuzz_checksum_parity;
   ]
