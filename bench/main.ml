@@ -37,6 +37,7 @@ module Source = Ocube_workload.Source
 module Rng = Ocube_sim.Rng
 module Spec = Ocube_model.Spec
 module Explore = Ocube_model.Explore
+module Symmetry = Ocube_model.Symmetry
 
 (* --- kernel registry ------------------------------------------------------ *)
 
@@ -475,6 +476,36 @@ let () =
   reg ~name:"scale_packed_decode_256" (fun () ->
       Array.iter (fun k -> ignore (Spec.decode k : Spec.state)) keys)
 
+(* Model layer: symmetry canonicalization, the quotient search's
+   per-successor cost, over 512 p=3 fault-enabled states — every 8th of
+   the first 4096 in BFS order, so the sample is fixed without a seed. *)
+let () =
+  let sample =
+    let seen = Hashtbl.create 8192 in
+    let q = Queue.create () in
+    let acc = ref [] in
+    let visit st =
+      let k = Spec.encode st in
+      if Hashtbl.length seen < 4096 && not (Hashtbl.mem seen k) then begin
+        if Hashtbl.length seen mod 8 = 0 then acc := st :: !acc;
+        Hashtbl.replace seen k ();
+        Queue.add st q
+      end
+    in
+    visit (Spec.initial ~p:3 ~wishes:1);
+    while not (Queue.is_empty q) do
+      List.iter (fun (_, st') -> visit st')
+        (Spec.transitions ~max_faults:1 (Queue.pop q))
+    done;
+    Array.of_list (List.rev !acc)
+  in
+  assert (Array.length sample = 512);
+  let t = Symmetry.table ~p:3 in
+  reg_median ~name:"model_canonicalize_p3" ~layer:"model" (fun () ->
+      Array.iter
+        (fun st -> ignore (Symmetry.canonicalize t st : Symmetry.canon))
+        sample)
+
 (* --- runner ---------------------------------------------------------------- *)
 
 (* The CI slice: cheap, reliable kernels covering the tree core, the
@@ -497,6 +528,7 @@ let quick_names =
     "sweep_open_loop_heavy_n64";
     "scale_packed_encode_256";
     "tbl_modelcheck_p2_w1";
+    "model_canonicalize_p3";
   ]
 
 (* Rows are (kernel, ns_per_iter, r2, method): r2 is nan for median rows,
@@ -676,7 +708,10 @@ let compare_against ~baseline_file ~max_regression rows =
   List.iter
     (fun (name, now, r2, meth) ->
       match List.assoc_opt name baseline with
-      | None -> ()
+      | None ->
+        (* a kernel newer than the baseline: listed, never gated *)
+        Ocube_stats.Table.add_row table
+          [ name; "-"; pretty now; "(new - not in baseline)" ]
       | Some old when (not (Float.is_nan now)) && old > 0.0 ->
         let ratio = now /. old in
         (* A poor OLS fit means the estimate itself is unreliable (noisy

@@ -479,10 +479,12 @@ let run_verify p wishes max_states jobs symmetry mem_budget faults =
     let mem_budget =
       if mem_budget <= 0 then None else Some (mem_budget * 1024 * 1024)
     in
+    let t0 = Unix.gettimeofday () in
     let s =
       E.run ~max_states ~jobs ~max_faults:faults ~symmetry ?mem_budget ~p
         ~wishes ()
     in
+    let wall = Unix.gettimeofday () -. t0 in
     if symmetry then begin
       Printf.printf
         "  %d canonical (quotient) states, %d transitions, %d terminal states\n"
@@ -497,6 +499,9 @@ let run_verify p wishes max_states jobs symmetry mem_budget faults =
         s.E.transitions s.E.terminals;
     Printf.printf "  peak in-flight %d, depth %d\n" s.E.max_in_flight
       s.E.max_depth;
+    let per_s k = float_of_int k /. Float.max wall 1e-9 in
+    Printf.printf "  wall %.2f s: %.0f states/s, %.0f transitions/s\n" wall
+      (per_s s.E.states) (per_s s.E.transitions);
     if s.E.spilled_segments > 0 then
       Printf.printf "  spilled %d frontier segment(s), %d bytes\n"
         s.E.spilled_segments s.E.spilled_bytes;

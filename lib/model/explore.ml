@@ -264,7 +264,9 @@ let run_serial ~max_states ~max_faults ~variant ~p ~wishes =
    2. Dedup (parallel): the visited set is sharded by key hash over a
       fixed shard count (independent of [jobs]), one shard owner per
       parallel index, inserting fresh keys in (frontier index, successor
-      index) order.
+      index) order. A serial pass first buckets the chunk's successors
+      by shard, so the dedup costs O(successors), not O(successors ×
+      shards).
 
    3. Assemble (serial): fresh states get consecutive ids in (shard,
       discovery) order; their parent/meta words are appended and their
@@ -394,27 +396,28 @@ let run_levelwise ~max_states ~pool ~max_faults ~variant ~sym ~mem_budget ~p
         | Term -> incr terminals
         | Succs a -> transitions := !transitions + Array.length a)
       results;
+    (* One serial pass files every successor under its shard in
+       (frontier index, successor index) order — both arrays are walked
+       backwards and consed onto — so each shard owner reads only its
+       own successors instead of scanning the whole chunk. *)
+    let buckets = Array.make shard_count [] in
+    for i = len - 1 downto 0 do
+      match results.(i) with
+      | Term | Bad _ -> ()
+      | Succs a ->
+        for j = Array.length a - 1 downto 0 do
+          let ((sh, _, _, _, _, _) as e) = a.(j) in
+          buckets.(sh) <- (chunk_base + i, e) :: buckets.(sh)
+        done
+    done;
     let fresh = Array.make shard_count [||] in
     Pool.parallel_for pool ~n:shard_count (fun s ->
         let tbl = visited.(s) in
-        let acc = ref []
-        and count = ref 0 in
-        Array.iteri
-          (fun i r ->
-            match r with
-            | Term | Bad _ -> ()
-            | Succs a ->
-              Array.iter
-                (fun ((sh, key, _, _, _, _) as e) ->
-                  if sh = s && Keyset.add_if_absent tbl key then begin
-                    acc := (chunk_base + i, e) :: !acc;
-                    incr count
-                  end)
-                a)
-          results;
-        let arr = Array.make !count (0, (0, "", 0, 0, 0, 0)) in
-        List.iteri (fun k x -> arr.(!count - 1 - k) <- x) !acc;
-        fresh.(s) <- arr);
+        fresh.(s) <-
+          Array.of_list
+            (List.filter
+               (fun (_, (_, key, _, _, _, _)) -> Keyset.add_if_absent tbl key)
+               buckets.(s)));
     Array.iter
       (fun arr ->
         Array.iter

@@ -981,6 +981,206 @@ let relabel perm st =
   in
   { packed; queues; flight }
 
+(* --- streamed relabelled keys -------------------------------------------- *)
+
+(* Symmetry reduction's inner loop is the least [encode (relabel perm st)]
+   over a whole permutation group. Building every relabelled state and
+   encoding it in full costs a fresh state and a fresh string per group
+   element, yet almost every element loses to the incumbent minimum
+   within its first few bytes. So each permutation's key is written
+   straight from [st] into a per-domain scratch buffer — output slot [j]
+   reads node [inv.(j)], and every id it carries is renamed through
+   [perm] — compared with the incumbent byte by byte as it is written,
+   and abandoned at the first greater byte. A winner's buffer becomes the
+   incumbent by a swap; only the final minimum is copied out as a string.
+
+   The writer follows [encode]'s wire format, escapes included, so keys
+   of different permutations may differ in length (at p >= 8 ids >= 254
+   take nine bytes); the comparison is therefore [String.compare]'s:
+   bytewise, a proper prefix first. Queues and the flight bag are
+   flattened into int arrays once per state; the flight is relabelled
+   and insertion-sorted only by candidates still tied when they reach
+   it. *)
+
+type relabel_scratch = {
+  mutable best : Bytes.t;  (* the incumbent minimum, [best_len] bytes *)
+  mutable best_len : int;
+  mutable cand : Bytes.t;  (* the candidate being written *)
+  mutable tied : bool;  (* the candidate equals [best] on every byte so far *)
+  mutable qoff : int array;  (* node i's queue: qbuf.(qoff.(i)) .. qoff.(i+1)-1 *)
+  mutable qbuf : int array;
+  mutable fbuf : int array;  (* the flight bag, as stored *)
+  mutable fsort : int array;  (* the flight bag, relabelled and sorted *)
+}
+
+let relabel_scratch_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        best = Bytes.create 256;
+        best_len = 0;
+        cand = Bytes.create 256;
+        tied = false;
+        qoff = [||];
+        qbuf = [||];
+        fbuf = [||];
+        fsort = [||];
+      })
+
+exception Lost
+
+(* One output byte: stored, then compared with the incumbent while the
+   candidate is still tied with it. *)
+let[@inline] emit s pos c =
+  Bytes.unsafe_set s.cand pos (Char.unsafe_chr c);
+  if s.tied then begin
+    if pos >= s.best_len then raise_notrace Lost;
+    let d = Char.code (Bytes.unsafe_get s.best pos) in
+    if c > d then raise_notrace Lost;
+    if c < d then s.tied <- false
+  end;
+  pos + 1
+
+let emit_escape s pos v =
+  let pos = ref (emit s pos 254) in
+  for k = 0 to 7 do
+    pos := emit s !pos ((v lsr (8 * k)) land 0xff)
+  done;
+  !pos
+
+let[@inline] emit_int s pos v =
+  if v < 254 then emit s pos v else emit_escape s pos v
+
+(* Flatten [st]'s queues and flight into the scratch and size both key
+   buffers for the longest possible key (every int escaped); returns the
+   flight length. *)
+let prepare s st n =
+  if Array.length s.qoff <= n then s.qoff <- Array.make (n + 1) 0;
+  let qoff = s.qoff in
+  let total = ref 0 in
+  for i = 0 to n - 1 do
+    qoff.(i) <- !total;
+    total := !total + Fdeque.length st.queues.(i)
+  done;
+  qoff.(n) <- !total;
+  if Array.length s.qbuf < !total then s.qbuf <- Array.make (2 * !total) 0;
+  let qbuf = s.qbuf in
+  for i = 0 to n - 1 do
+    let q = st.queues.(i) in
+    if not (Fdeque.is_empty q) then
+      ignore
+        (Fdeque.fold
+           (fun x j ->
+             qbuf.(x) <- j;
+             x + 1)
+           qoff.(i) q
+          : int)
+  done;
+  let fl = List.length st.flight in
+  if Array.length s.fbuf < fl then begin
+    s.fbuf <- Array.make (2 * fl) 0;
+    s.fsort <- Array.make (2 * fl) 0
+  end;
+  List.iteri (fun x m -> s.fbuf.(x) <- m) st.flight;
+  let cap = (9 * (2 + (5 * n) + !total + (3 * fl))) + n + fl in
+  if Bytes.length s.best < cap then begin
+    s.best <- Bytes.create (2 * cap);
+    s.cand <- Bytes.create (2 * cap)
+  end;
+  fl
+
+(* The candidate key of [perm] (inverse [inv]) into [s.cand]; returns its
+   length, or raises [Lost] at the first byte above the incumbent. *)
+let write_relabeled s perm inv st n fl =
+  let packed = st.packed
+  and qoff = s.qoff
+  and qbuf = s.qbuf in
+  let pos = ref (emit_int s 0 n) in
+  for j = 0 to n - 1 do
+    let i = inv.(j) in
+    let w = packed.(i) in
+    let f = nfather w
+    and m = nmandator w in
+    let p = emit_int s !pos (if f < 0 then 0 else perm.(f) + 1) in
+    let p = emit s p (flags_nibble w) in
+    let p = emit_int s p perm.(nlender w) in
+    let p = emit_int s p (if m < 0 then 0 else perm.(m) + 1) in
+    let p = emit_int s p (nwishes w) in
+    let q0 = qoff.(i)
+    and q1 = qoff.(i + 1) in
+    let p = ref (emit_int s p (q1 - q0)) in
+    for x = q0 to q1 - 1 do
+      p := emit_int s !p perm.(Array.unsafe_get qbuf x)
+    done;
+    pos := !p
+  done;
+  let pos = ref (emit_int s !pos fl) in
+  let fbuf = s.fbuf
+  and fs = s.fsort in
+  for x = 0 to fl - 1 do
+    let msg = Array.unsafe_get fbuf x in
+    let src = perm.(msrc msg)
+    and dst = perm.(mdst msg) in
+    let m =
+      if mis_tok msg then
+        let l = mval msg - 1 in
+        mk_tok ~src ~dst (if l < 0 then -1 else perm.(l))
+      else mk_req ~src ~dst perm.(mval msg)
+    in
+    let y = ref (x - 1) in
+    while !y >= 0 && Array.unsafe_get fs !y > m do
+      Array.unsafe_set fs (!y + 1) (Array.unsafe_get fs !y);
+      decr y
+    done;
+    Array.unsafe_set fs (!y + 1) m
+  done;
+  for x = 0 to fl - 1 do
+    let m = Array.unsafe_get fs x in
+    let p = emit_int s !pos (msrc m) in
+    let p = emit_int s p (mdst m) in
+    let p = emit s p (if mis_tok m then 1 else 0) in
+    pos := emit_int s p (mval m)
+  done;
+  !pos
+
+type min_key = { key : string; in_flight : int; arg : int; ties : int }
+
+let min_relabeled_key perms invs st =
+  let n = Array.length st.packed in
+  let g = Array.length perms in
+  if g = 0 || Array.length invs <> g then
+    invalid_arg "Spec.min_relabeled_key: empty or mismatched group";
+  for k = 0 to g - 1 do
+    if Array.length perms.(k) <> n || Array.length invs.(k) <> n then
+      invalid_arg "Spec.min_relabeled_key: permutation size <> node count"
+  done;
+  let s = Domain.DLS.get relabel_scratch_key in
+  let fl = prepare s st n in
+  let arg = ref 0
+  and ties = ref 0 in
+  for k = 0 to g - 1 do
+    (* the first candidate has no incumbent to lose to *)
+    s.tied <- k > 0;
+    match write_relabeled s perms.(k) invs.(k) st n fl with
+    | len when s.tied && len = s.best_len -> incr ties
+    | len ->
+      let b = s.best in
+      s.best <- s.cand;
+      s.cand <- b;
+      s.best_len <- len;
+      arg := k;
+      ties := 1
+    | exception Lost -> ()
+  done;
+  {
+    key = Bytes.sub_string s.best 0 s.best_len;
+    in_flight = fl;
+    arg = !arg;
+    ties = !ties;
+  }
+
+let encode_relabeled perm inv st =
+  (min_relabeled_key [| perm |] [| inv |] st).key
+
 let pp_transition ppf = function
   | Wish i -> Format.fprintf ppf "wish %d" i
   | Exit i -> Format.fprintf ppf "exit %d" i

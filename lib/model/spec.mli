@@ -130,7 +130,33 @@ val relabel : int array -> state -> state
     fathers, lenders, mandators, queue entries, flight end-points — and
     returns a canonical state. [perm] must be a bijection on
     [0 .. num_nodes st - 1]; it preserves the protocol's semantics only
-    when it is a [dist]-preserving automorphism ({!Symmetry}'s job). *)
+    when it is a [dist]-preserving automorphism ({!Symmetry}'s job).
+    Used to de-canonicalize states; canonicalization itself streams keys
+    with {!min_relabeled_key} instead. *)
+
+(** The least relabelled key over a permutation group: what symmetry
+    reduction canonicalizes by. *)
+type min_key = {
+  key : string;  (** the minimum of [encode (relabel perms.(k) st)] over [k] *)
+  in_flight : int;  (** in-flight message count (relabelling-invariant) *)
+  arg : int;  (** the first [k] whose key is the minimum *)
+  ties : int;  (** how many [k] reach the minimum *)
+}
+
+val min_relabeled_key : int array array -> int array array -> state -> min_key
+(** [min_relabeled_key perms invs st], where [invs.(k)] is the inverse of
+    [perms.(k)], computes the key of every [relabel perms.(k) st] without
+    building the relabelled state: each key is streamed into a scratch
+    buffer, compared with the incumbent minimum as it is written (in
+    [String.compare] order) and abandoned at its first greater byte; only
+    the minimum is copied out. The keys are byte-identical to
+    [encode (relabel perms.(k) st)], escape format included. [st] must
+    be canonical. Raises [Invalid_argument] if [perms] is empty or any
+    permutation's size differs from the node count. *)
+
+val encode_relabeled : int array -> int array -> state -> string
+(** [encode_relabeled perm inv st] is the same streaming encoder run to
+    completion for one permutation: [encode (relabel perm st)]. *)
 
 val check_invariants : state -> (unit, string) result
 (** Safety invariants that must hold in {e every} reachable state:

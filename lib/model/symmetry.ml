@@ -43,7 +43,11 @@ type t = {
   p : int;
   perms : perm array;  (* perms.(0) is the identity *)
   inv : int array;  (* inv.(k) = index of perms.(k)'s inverse *)
-  index : int Stbl.t;  (* perm_key -> index, for composition lookups *)
+  inv_perms : perm array;  (* inv_perms.(k) = perms.(inv.(k)), shared *)
+  comp : int array;
+      (* comp.(a * order + b) = index of perms.(a) ∘ perms.(b); exact
+         groups only (order <= 128) — a translation's index is its mask,
+         so there composition is [a lxor b] *)
   exact : bool;  (* full automorphism group, or translation subgroup *)
 }
 
@@ -141,42 +145,43 @@ let generators ~p =
   in
   translations @ half_swaps
 
-(* Breadth-first closure of the generators, abandoned past [full_cap]
-   elements (p >= 4). Deterministic: fixed generator order, FIFO
-   worklist, so the element numbering is reproducible. *)
-let full_cap = 1024
+(* The full group has order 2^(2^p - 1). It is built by closure while
+   that stays within 2^[max_log_order] (p <= 3), and replaced by the
+   translation subgroup beyond (p = 4 already has 2^15 elements). *)
+let max_log_order = 10
 
-let try_full_group ~p =
+let log_order ~p = (1 lsl p) - 1
+
+(* Breadth-first closure of the generators. Deterministic: fixed
+   generator order, FIFO worklist, so the element numbering is
+   reproducible. *)
+let full_group ~p =
   let n = 1 lsl p in
   let id = Array.init n Fun.id in
   let index = Stbl.create 256 in
   Stbl.add index (perm_key id) 0;
   let acc = ref [ id ]
-  and count = ref 1
-  and ok = ref true in
+  and count = ref 1 in
   let gens = generators ~p in
   let queue = Queue.create () in
   Queue.add id queue;
-  while !ok && not (Queue.is_empty queue) do
+  while not (Queue.is_empty queue) do
     let g = Queue.pop queue in
     List.iter
       (fun h ->
-        if !ok then begin
-          let gh = compose_perm h g in
-          let key = perm_key gh in
-          if not (Stbl.mem index key) then begin
-            if !count >= full_cap then ok := false
-            else begin
-              Stbl.add index key !count;
-              incr count;
-              acc := gh :: !acc;
-              Queue.add gh queue
-            end
-          end
+        let gh = compose_perm h g in
+        let key = perm_key gh in
+        if not (Stbl.mem index key) then begin
+          Stbl.add index key !count;
+          incr count;
+          acc := gh :: !acc;
+          Queue.add gh queue
         end)
       gens
   done;
-  if !ok then Some (Array.of_list (List.rev !acc), index) else None
+  if !count <> 1 lsl log_order ~p then
+    failwith "Symmetry.table: closure does not match the group order";
+  (Array.of_list (List.rev !acc), index)
 
 let translation_group ~p =
   let n = 1 lsl p in
@@ -191,18 +196,25 @@ let build p =
   if p < 0 || p > max_p then
     invalid_arg
       (Printf.sprintf "Symmetry.table: p = %d outside [0, %d]" p max_p);
-  let (perms, index), exact =
-    match try_full_group ~p with
-    | Some g -> (g, true)
-    | None -> (translation_group ~p, false)
+  let exact = log_order ~p <= max_log_order in
+  let perms, index =
+    if exact then full_group ~p else translation_group ~p
   in
   Array.iter
     (fun a ->
       if not (is_automorphism ~p a) then
         failwith "Symmetry.table: generated a non-automorphism")
     perms;
-  let inv = Array.map (fun a -> Stbl.find index (perm_key (invert_perm a))) perms in
-  { p; perms; inv; index; exact }
+  let find a = Stbl.find index (perm_key a) in
+  let inv = Array.map (fun a -> find (invert_perm a)) perms in
+  let order = Array.length perms in
+  let comp =
+    if exact then
+      Array.init (order * order) (fun x ->
+          find (compose_perm perms.(x / order) perms.(x mod order)))
+    else [||]
+  in
+  { p; perms; inv; inv_perms = Array.map (Array.get perms) inv; comp; exact }
 
 (* Memoized per p. The first call for a given p must happen before the
    table is shared across domains (Explore builds it up front); after
@@ -217,8 +229,8 @@ let table ~p =
     Hashtbl.add cache p t;
     t
 
-let compose t a b =
-  Stbl.find t.index (perm_key (compose_perm t.perms.(a) t.perms.(b)))
+let[@ocube.zero_alloc] compose t a b =
+  if t.exact then t.comp.((a * Array.length t.perms) + b) else a lxor b
 
 type canon = {
   key : string;
@@ -228,27 +240,14 @@ type canon = {
 }
 
 let canonicalize t st =
-  let key0, fl = Spec.encode_len st in
-  let best = ref key0
-  and arg = ref 0
-  and ties = ref 1 in
-  for k = 1 to Array.length t.perms - 1 do
-    let key = Spec.encode (Spec.relabel t.perms.(k) st) in
-    let c = String.compare key !best in
-    if c < 0 then begin
-      best := key;
-      arg := k;
-      ties := 1
-    end
-    else if c = 0 then incr ties
-  done;
+  let m = Spec.min_relabeled_key t.perms t.inv_perms st in
   (* [ties] perms reach the minimum — exactly the coset of the canonical
      state's stabilizer — so the orbit has order / ties elements. *)
   {
-    key = !best;
-    in_flight = fl;
-    perm_index = !arg;
-    orbit = Array.length t.perms / !ties;
+    key = m.Spec.key;
+    in_flight = m.Spec.in_flight;
+    perm_index = m.Spec.arg;
+    orbit = Array.length t.perms / m.Spec.ties;
   }
 
 let apply_transition t k tr =

@@ -49,7 +49,7 @@ val inverse : t -> int -> int
 
 val compose : t -> int -> int -> int
 (** [compose t a b] is the index of [perm t a ∘ perm t b] (apply [b]
-    first). *)
+    first): a lookup in a table built with the group, allocation-free. *)
 
 val generators : p:int -> perm list
 (** The generating set: all XOR-translations and all per-block
@@ -71,8 +71,11 @@ type canon = {
 
 val canonicalize : t -> Spec.state -> canon
 (** The canonical representative of a state's orbit: the minimum
-    [Spec.encode] key over every relabeling in the group. Two states
-    get the same [key] iff some automorphism maps one to the other. *)
+    [Spec.encode] key over every relabeling in the group, streamed by
+    {!Spec.min_relabeled_key} (no relabelled state is built, and each
+    candidate key is abandoned at its first byte above the incumbent).
+    Two states get the same [key] iff some automorphism maps one to the
+    other. *)
 
 val apply_transition : t -> int -> Spec.transition -> Spec.transition
 (** [apply_transition t k tr] renames the node ids inside a transition
