@@ -38,6 +38,9 @@ module Rng = Ocube_sim.Rng
 module Spec = Ocube_model.Spec
 module Explore = Ocube_model.Explore
 module Symmetry = Ocube_model.Symmetry
+module Scenario = Ocube_check.Scenario
+module Fuzz = Ocube_check.Fuzz
+module Oracle = Ocube_check.Oracle
 
 (* --- kernel registry ------------------------------------------------------ *)
 
@@ -506,6 +509,45 @@ let () =
         (fun st -> ignore (Symmetry.canonicalize t st : Symmetry.canon))
         sample)
 
+(* Check layer: the fuzz oracle's per-event check, which runs after every
+   simulated event of a fault-free fuzz scenario. One N = 32 fault-free
+   environment per algorithm, paused mid-run with requests and tokens in
+   flight; a shot calls the check 20,000 times on each, and the row is the
+   time per call. *)
+let () =
+  let paused algo =
+    let s =
+      {
+        Scenario.runtime = Scenario.Des;
+        algo;
+        p = 5;
+        seed = 11;
+        delay = Ocube_net.Network.Uniform { lo = 0.5; hi = 1.5 };
+        cs = Runner.Fixed 1.0;
+        ft = false;
+        patience = 1.0;
+        lifo = false;
+        serial = false;
+        arrivals = List.init 64 (fun k -> (0.5 *. float_of_int k, (k * 7) mod 32));
+        faults = [];
+      }
+    in
+    let b = Fuzz.build s in
+    Runner.run_arrivals b.Fuzz.env s.Scenario.arrivals;
+    Runner.run ~until:20.0 b.Fuzz.env;
+    Oracle.check_step ~env:b.Fuzz.env ~inst:b.Fuzz.inst (Fuzz.spec_of s None)
+  in
+  let steps = Array.of_list (List.map paused Scenario.all_algos) in
+  let per_algo = 20_000 in
+  reg_median ~name:"oracle_step_n32" ~layer:"check"
+    ~batch:(per_algo * Array.length steps) (fun () ->
+      Array.iter
+        (fun step ->
+          for _ = 1 to per_algo do
+            step ()
+          done)
+        steps)
+
 (* --- runner ---------------------------------------------------------------- *)
 
 (* The CI slice: cheap, reliable kernels covering the tree core, the
@@ -529,6 +571,7 @@ let quick_names =
     "scale_packed_encode_256";
     "tbl_modelcheck_p2_w1";
     "model_canonicalize_p3";
+    "oracle_step_n32";
   ]
 
 (* Rows are (kernel, ns_per_iter, r2, method): r2 is nan for median rows,

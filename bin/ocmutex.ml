@@ -560,11 +560,13 @@ let verify_cmd =
 module Scenario = Ocube_check.Scenario
 module Fuzz = Ocube_check.Fuzz
 
-let print_failure ~seed (f : Fuzz.failure) =
+let print_failure ~seed ~cut_short (f : Fuzz.failure) =
   Printf.printf "\nFAILED at iteration %d of seed %d\n" f.Fuzz.index seed;
   Printf.printf "  invariant : %s\n" f.Fuzz.error;
   Printf.printf "  scenario  : %s\n" (Scenario.to_string f.Fuzz.scenario);
-  Printf.printf "  minimal reproducer (%d arrivals, %d faults):\n"
+  Printf.printf "  %s reproducer (%d arrivals, %d faults):\n"
+    (if cut_short then "smallest (time budget ended the shrink)"
+     else "minimal")
     (List.length f.Fuzz.shrunk.Scenario.arrivals)
     (List.length f.Fuzz.shrunk.Scenario.faults);
   Printf.printf "    %s\n" (Scenario.to_string f.Fuzz.shrunk);
@@ -671,7 +673,7 @@ let run_fuzz seed jobs iters time algos max_p no_faults runtime replay
         (report.Fuzz.checksum land 0xff_ffff_ffff_ffff);
       0
     | Some f ->
-      print_failure ~seed f;
+      print_failure ~seed ~cut_short:(stop ()) f;
       2)
 
 let fuzz_cmd =

@@ -126,8 +126,7 @@ let spec_of (s : Scenario.t) structure =
      search_father, which rewires fathers outside b-transformations and
      legitimately leaves a non-open-cube (safe) tree at quiescence. *)
   let structure = if fault_free && not s.ft then structure else None in
-  { Oracle.fault_free; continuous = fault_free; structure; message_bound;
-    expect_drain = true }
+  { Oracle.fault_free; structure; message_bound; expect_drain = true }
 
 let digest env =
   let w = Runner.wait_stats env in
@@ -252,13 +251,20 @@ let run ?(build = build) s =
     | Scenario.Des -> run_des ~build s
     | Scenario.Proc -> run_proc s)
 
-let shrink ?build ?(max_runs = 500) s0 =
+(* Greedy shrinking that also returns the error of the scenario it
+   stops at ([None] for [s0], whose error the caller already knows). *)
+let shrink_with_error ?build ~max_runs ~stop s0 =
   let runs = ref 0 in
+  let last_error = ref None in
   let fails s =
-    if !runs >= max_runs then false
+    if !runs >= max_runs || stop () then false
     else begin
       incr runs;
-      match run ?build s with Error _ -> true | Ok _ -> false
+      match run ?build s with
+      | Error e ->
+        last_error := Some e;
+        true
+      | Ok _ -> false
     end
   in
   let rec go s =
@@ -266,7 +272,11 @@ let shrink ?build ?(max_runs = 500) s0 =
     | Some smaller -> go smaller
     | None -> s
   in
-  go s0
+  let s = go s0 in
+  (s, !last_error)
+
+let shrink ?build ?(max_runs = 500) ?(stop = fun () -> false) s0 =
+  fst (shrink_with_error ?build ~max_runs ~stop s0)
 
 type failure = {
   index : int;
@@ -288,11 +298,11 @@ let mix acc (d : digest) =
   let h = (Hashtbl.hash [@ocube.lint.allow "no-poly-compare"]) d in
   acc lxor (h + 0x9e3779b9 + (acc lsl 6) + (acc lsr 2))
 
-let found ~builder ~index ~scenario ~error ~checksum =
-  let shrunk = shrink ?build:builder scenario in
-  let shrunk_error =
-    match run ?build:builder shrunk with Error e -> e | Ok _ -> error
+let found ~builder ~stop ~index ~scenario ~error ~checksum =
+  let shrunk, shrunk_error =
+    shrink_with_error ?build:builder ~max_runs:500 ~stop scenario
   in
+  let shrunk_error = Option.value shrunk_error ~default:error in
   {
     ran = index + 1;
     checksum;
@@ -309,7 +319,7 @@ let campaign_serial ?build:builder ~opts ~iters ~stop ~on_progress ~fuzz_seed ()
         on_progress (i + 1);
         loop (i + 1) (mix cks d)
       | Error error ->
-        found ~builder ~index:i ~scenario:s ~error ~checksum:cks
+        found ~builder ~stop ~index:i ~scenario:s ~error ~checksum:cks
   in
   loop 0 0
 
@@ -342,7 +352,7 @@ let campaign_parallel ?build:builder ~opts ~iters ~stop ~on_progress ~fuzz_seed
               match results.(k) with
               | _, Ok d -> scan (k + 1) (mix cks d)
               | s, Error error ->
-                found ~builder ~index:(start + k) ~scenario:s ~error
+                found ~builder ~stop ~index:(start + k) ~scenario:s ~error
                   ~checksum:cks
           in
           scan 0 cks

@@ -54,8 +54,15 @@ val run : ?build:(Scenario.t -> built) -> Scenario.t -> (digest, string) result
 (** One full checked run. [Error] carries the violated invariant. *)
 
 val shrink :
-  ?build:(Scenario.t -> built) -> ?max_runs:int -> Scenario.t -> Scenario.t
-(** Greedy minimisation of a failing scenario (default [max_runs] 500). *)
+  ?build:(Scenario.t -> built) ->
+  ?max_runs:int ->
+  ?stop:(unit -> bool) ->
+  Scenario.t ->
+  Scenario.t
+(** Greedy minimisation of a failing scenario: stops at a fixpoint, after
+    [max_runs] shrink runs (default 500), or once [stop ()] turns true
+    (checked before each run), returning the smallest failing scenario
+    found so far. *)
 
 type failure = {
   index : int;  (** position in the fuzzer stream *)
@@ -86,7 +93,10 @@ val campaign :
 (** Run scenarios [0, 1, 2, ...] of the seed's stream until [iters] runs
     complete, [stop ()] turns true (checked between runs; used for
     wall-clock soak budgets), or a scenario fails — which ends the campaign
-    with a shrunk reproducer.
+    with a shrunk reproducer. Shrinking honours the same [stop]: once it
+    fires, the reproducer is the smallest failing scenario found so far,
+    so a [--time] budget bounds the shrink work too (one scenario run can
+    still overrun it, up to the step cap).
 
     [jobs > 1] stripes scenario indices across a domain pool, one chunk at
     a time; chunk results are folded serially in index order, so the

@@ -10,10 +10,11 @@
 
     - safety: at most one node in its critical section — continuously, in
       every scenario (Section 3 / Theorem in Section 4);
-    - token uniqueness: exactly one live token, held or in flight —
-      continuously in failure-free runs (the algorithms' own
-      [invariant_check]); a transient token loss is legal only while the
-      fault machinery is repairing one (Section 5);
+    - token uniqueness: exactly one live token, held or in flight, and
+      never two holders at once — continuously in failure-free runs (the
+      algorithms' own [invariant_check], O(1) per event from counters the
+      cores keep); a transient token loss is legal only while the fault
+      machinery is repairing one (Section 5);
     - structure: at quiescence of failure-free open-cube runs the father
       array is an open-cube (Theorem 2.1, Cor. 2.2/2.3) and every branch
       respects [r <= pmax - n1] (Prop. 2.3);
@@ -29,13 +30,23 @@ exception Violation of string
 
 type spec = {
   fault_free : bool;
-      (** the scenario injects no faults: strong invariants apply *)
-  continuous : bool;  (** run the instance's [invariant_check] every event *)
+      (** the scenario injects no faults: strong invariants apply, and the
+          instance's [invariant_check] runs after every event *)
   structure : (unit -> (unit, string) result) option;
       (** quiescence-only structural check (open-cube shape + branch bound) *)
   message_bound : int option;  (** cap on total messages sent *)
   expect_drain : bool;  (** no request may be left waiting at quiescence *)
 }
+
+val check_step :
+  env:Ocube_mutex.Runner.env ->
+  inst:Ocube_mutex.Types.instance ->
+  spec ->
+  unit ->
+  unit
+(** The per-event check {!install} arms on the engine: O(1) and
+    allocation-free while it passes (the instances' [invariant_check]
+    read counters). Raises {!Violation}. *)
 
 val install :
   env:Ocube_mutex.Runner.env -> inst:Ocube_mutex.Types.instance -> spec -> unit

@@ -8,17 +8,25 @@ module Make (R : Runtime.S) = struct
     mutable busy : bool;  (* token granted and not yet released *)
     mutable holder : node_id option;  (* who is in CS *)
     in_cs : bool array;
+    mutable in_cs_count : int;  (* true entries of [in_cs] *)
   }
 
   let coordinator = 0
 
   let dummy_rid i = { source = i; seq = 0 }
 
+  (* The only writer of [in_cs]: keeps the count exact, so the per-event
+     invariant check is O(1). *)
+  let set_in_cs t i b =
+    if b <> t.in_cs.(i) then
+      t.in_cs_count <- (if b then t.in_cs_count + 1 else t.in_cs_count - 1);
+    t.in_cs.(i) <- b
+
   let grant t dst =
     t.busy <- true;
     if dst = coordinator then begin
       t.holder <- Some coordinator;
-      t.in_cs.(coordinator) <- true;
+      set_in_cs t coordinator true;
       t.callbacks.on_enter coordinator
     end
     else
@@ -37,7 +45,7 @@ module Make (R : Runtime.S) = struct
       next_grant t
     | Message.Token _ ->
       t.holder <- Some i;
-      t.in_cs.(i) <- true;
+      set_in_cs t i true;
       t.callbacks.on_enter i
     | Message.Release ->
       assert (i = coordinator);
@@ -61,6 +69,7 @@ module Make (R : Runtime.S) = struct
         busy = false;
         holder = None;
         in_cs = Array.make n false;
+        in_cs_count = 0;
       }
     in
     for i = 0 to n - 1 do
@@ -80,7 +89,7 @@ module Make (R : Runtime.S) = struct
   let release_cs t i =
     if not t.in_cs.(i) then
       invalid_arg (Printf.sprintf "Central.release_cs: node %d not in CS" i);
-    t.in_cs.(i) <- false;
+    set_in_cs t i false;
     t.callbacks.on_exit i;
     if i = coordinator then begin
       t.busy <- false;
@@ -91,9 +100,16 @@ module Make (R : Runtime.S) = struct
 
   let queue_length t = Queue.length t.waiting
 
+  let token_holders t = match t.holder with Some h -> [ h ] | None -> []
+
+  let token_holder_count t = match t.holder with Some _ -> 1 | None -> 0
+
+  let in_cs t i = t.in_cs.(i)
+
+  let in_cs_count t = t.in_cs_count
+
   let invariant_check t =
-    let in_cs = Array.fold_left (fun a b -> if b then a + 1 else a) 0 t.in_cs in
-    if in_cs > 1 then Error "mutual exclusion violated: >1 node in CS"
+    if t.in_cs_count > 1 then Error "mutual exclusion violated: >1 node in CS"
     else Ok ()
 
   let instance t =
@@ -103,8 +119,7 @@ module Make (R : Runtime.S) = struct
       release_cs = release_cs t;
       on_recovered = ignore;
       snapshot_tree = (fun () -> None);
-      token_holders =
-        (fun () -> match t.holder with Some h -> [ h ] | None -> []);
+      token_holders = (fun () -> token_holders t);
       invariant_check = (fun () -> invariant_check t);
     }
 end

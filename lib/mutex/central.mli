@@ -22,6 +22,14 @@ module Make (R : Runtime.S) : sig
 
   val queue_length : t -> int
 
+  val token_holders : t -> node_id list
+
+  val token_holder_count : t -> int
+
+  val in_cs : t -> node_id -> bool
+
+  val in_cs_count : t -> int
+
   val invariant_check : t -> (unit, string) result
 end
 
@@ -41,5 +49,16 @@ val instance : t -> instance
 
 val queue_length : t -> int
 (** Pending requests at the coordinator. *)
+
+val token_holders : t -> node_id list
+(** The node in its CS ([[]] while the grant or release is in flight). *)
+
+val token_holder_count : t -> int
+(** [List.length (token_holders t)]: O(1). *)
+
+val in_cs : t -> node_id -> bool
+
+val in_cs_count : t -> int
+(** Nodes in their critical section, kept as a counter: O(1). *)
 
 val invariant_check : t -> (unit, string) result

@@ -29,9 +29,23 @@ module Make (R : Runtime.S) = struct
     pmax : int;  (* log2 n when n is a power of two, else -1 *)
     nodes : node array;
     mutable tokens_in_flight : int;
+    mutable holders : int;  (* nodes with [token_here] *)
+    mutable in_cs_count : int;  (* nodes with [in_cs] *)
   }
 
   let node t i = t.nodes.(i)
+
+  (* The only writers of [token_here] and [in_cs]: they keep the two
+     counts exact, so the per-event invariant check is O(1). *)
+  let set_token_here t nd b =
+    if b <> nd.token_here then
+      t.holders <- (if b then t.holders + 1 else t.holders - 1);
+    nd.token_here <- b
+
+  let set_in_cs t nd b =
+    if b <> nd.in_cs then
+      t.in_cs_count <- (if b then t.in_cs_count + 1 else t.in_cs_count - 1);
+    nd.in_cs <- b
 
   let dummy_rid i = { source = i; seq = 0 }
 
@@ -66,7 +80,7 @@ module Make (R : Runtime.S) = struct
     nd.asking <- true;
     if nd.token_here then begin
       nd.lender <- nd.id;
-      nd.in_cs <- true;
+      set_in_cs t nd true;
       t.callbacks.on_enter nd.id
     end
     else begin
@@ -82,7 +96,7 @@ module Make (R : Runtime.S) = struct
     | `Transit ->
       (if nd.token_here then begin
          send_token t ~src:nd.id ~dst:j ~lender:None;
-         nd.token_here <- false
+         set_token_here t nd false
        end
        else
          match nd.father with
@@ -93,7 +107,7 @@ module Make (R : Runtime.S) = struct
       nd.asking <- true;
       if nd.token_here then begin
         send_token t ~src:nd.id ~dst:j ~lender:(Some nd.id);
-        nd.token_here <- false
+        set_token_here t nd false
       end
       else begin
         nd.mandator <- Some j;
@@ -106,7 +120,7 @@ module Make (R : Runtime.S) = struct
     t.tokens_in_flight <- t.tokens_in_flight - 1;
     match nd.mandator with
     | Some m when m = nd.id ->
-      nd.token_here <- true;
+      set_token_here t nd true;
       (match lender with
       | None ->
         nd.lender <- nd.id;
@@ -115,7 +129,7 @@ module Make (R : Runtime.S) = struct
         nd.lender <- l;
         nd.father <- Some from_);
       nd.mandator <- None;
-      nd.in_cs <- true;
+      set_in_cs t nd true;
       t.callbacks.on_enter nd.id
     | Some m -> (
       nd.mandator <- None;
@@ -131,7 +145,7 @@ module Make (R : Runtime.S) = struct
         drain t nd)
     | None ->
       (* Return of the token after a loan. *)
-      nd.token_here <- true;
+      set_token_here t nd true;
       nd.lender <- nd.id;
       nd.asking <- false;
       drain t nd
@@ -190,6 +204,8 @@ module Make (R : Runtime.S) = struct
                 queue = Queue.create ();
               });
         tokens_in_flight = 0;
+        holders = 1;  (* the root *)
+        in_cs_count = 0;
       }
     in
     for i = 0 to n - 1 do
@@ -205,11 +221,11 @@ module Make (R : Runtime.S) = struct
     let nd = node t i in
     if not nd.in_cs then
       invalid_arg (Printf.sprintf "Generic_scheme.release_cs: node %d not in CS" i);
-    nd.in_cs <- false;
+    set_in_cs t nd false;
     t.callbacks.on_exit i;
     if nd.lender <> nd.id then begin
       send_token t ~src:nd.id ~dst:nd.lender ~lender:None;
-      nd.token_here <- false
+      set_token_here t nd false
     end;
     nd.asking <- false;
     drain t nd
@@ -222,13 +238,21 @@ module Make (R : Runtime.S) = struct
     Array.to_list t.nodes
     |> List.filter_map (fun nd -> if nd.token_here then Some nd.id else None)
 
+  let tokens_in_flight t = t.tokens_in_flight
+
+  let token_holder_count t = t.holders
+
+  let in_cs t i = (node t i).in_cs
+
+  let in_cs_count t = t.in_cs_count
+
   let invariant_check t =
-    let holders = List.length (token_holders t) in
-    let in_cs = Array.fold_left (fun a nd -> if nd.in_cs then a + 1 else a) 0 t.nodes in
-    if in_cs > 1 then Error "mutual exclusion violated: >1 node in CS"
+    let holders = t.holders in
+    if t.in_cs_count > 1 then Error "mutual exclusion violated: >1 node in CS"
     else if holders + t.tokens_in_flight <> 1 then
       Error
         (Printf.sprintf "token count %d should be 1" (holders + t.tokens_in_flight))
+    else if holders > 1 then Error (simultaneous_holders (token_holders t))
     else Ok ()
 
   let instance t =

@@ -52,6 +52,14 @@ module Make (R : Runtime.S) : sig
 
   val token_holders : t -> node_id list
 
+  val token_holder_count : t -> int
+
+  val tokens_in_flight : t -> int
+
+  val in_cs : t -> node_id -> bool
+
+  val in_cs_count : t -> int
+
   val invariant_check : t -> (unit, string) result
 end
 
@@ -85,5 +93,16 @@ val father : t -> node_id -> node_id option
 val snapshot_tree : t -> node_id option array
 
 val token_holders : t -> node_id list
+
+val token_holder_count : t -> int
+(** [List.length (token_holders t)], kept as a counter: O(1). *)
+
+val tokens_in_flight : t -> int
+(** Tokens sent and not yet delivered (or dropped). *)
+
+val in_cs : t -> node_id -> bool
+
+val in_cs_count : t -> int
+(** Nodes in their critical section, kept as a counter: O(1). *)
 
 val invariant_check : t -> (unit, string) result

@@ -16,11 +16,25 @@ module Make (R : Runtime.S) = struct
     callbacks : callbacks;
     nodes : node array;
     mutable tokens_in_flight : int;
+    mutable holders : int;  (* nodes with [token_here] *)
+    mutable in_cs_count : int;  (* nodes with [in_cs] *)
   }
 
   let dummy_rid i = { source = i; seq = 0 }
 
   let node t i = t.nodes.(i)
+
+  (* The only writers of [token_here] and [in_cs]: they keep the two
+     counts exact, so the per-event invariant check is O(1). *)
+  let set_token_here t nd b =
+    if b <> nd.token_here then
+      t.holders <- (if b then t.holders + 1 else t.holders - 1);
+    nd.token_here <- b
+
+  let set_in_cs t nd b =
+    if b <> nd.in_cs then
+      t.in_cs_count <- (if b then t.in_cs_count + 1 else t.in_cs_count - 1);
+    nd.in_cs <- b
 
   let send_request t ~src ~dst ~origin =
     R.send t.net ~src ~dst (Message.Request { origin; rid = dummy_rid origin })
@@ -42,7 +56,7 @@ module Make (R : Runtime.S) = struct
           nd.next <- Some origin
         else begin
           (* Idle token owner: hand the token over directly. *)
-          nd.token_here <- false;
+          set_token_here t nd false;
           send_token t ~src:nd.id ~dst:origin
         end;
         nd.father <- Some origin
@@ -53,8 +67,8 @@ module Make (R : Runtime.S) = struct
         nd.father <- Some origin)
     | Message.Token _ ->
       t.tokens_in_flight <- t.tokens_in_flight - 1;
-      nd.token_here <- true;
-      nd.in_cs <- true;
+      set_token_here t nd true;
+      set_in_cs t nd true;
       t.callbacks.on_enter nd.id
     | Message.Enquiry _ | Message.Enquiry_answer _ | Message.Test _
     | Message.Test_answer _ | Message.Anomaly _ | Message.Void _ | Message.Census _
@@ -80,6 +94,8 @@ module Make (R : Runtime.S) = struct
                 in_cs = false;
               });
         tokens_in_flight = 0;
+        holders = 1;  (* node 0 *)
+        in_cs_count = 0;
       }
     in
     for i = 0 to n - 1 do
@@ -95,7 +111,7 @@ module Make (R : Runtime.S) = struct
     match nd.father with
     | None ->
       (* We already own the token and nobody is queued: enter directly. *)
-      nd.in_cs <- true;
+      set_in_cs t nd true;
       t.callbacks.on_enter nd.id
     | Some f ->
       send_request t ~src:nd.id ~dst:f ~origin:nd.id;
@@ -105,13 +121,13 @@ module Make (R : Runtime.S) = struct
     let nd = node t i in
     if not nd.in_cs then
       invalid_arg (Printf.sprintf "Naimi_trehel.release_cs: node %d not in CS" i);
-    nd.in_cs <- false;
+    set_in_cs t nd false;
     nd.requesting <- false;
     t.callbacks.on_exit i;
     match nd.next with
     | Some succ ->
       nd.next <- None;
-      nd.token_here <- false;
+      set_token_here t nd false;
       send_token t ~src:nd.id ~dst:succ
     | None -> () (* keep the token *)
 
@@ -123,6 +139,14 @@ module Make (R : Runtime.S) = struct
     Array.to_list t.nodes
     |> List.filter_map (fun nd -> if nd.token_here then Some nd.id else None)
 
+  let tokens_in_flight t = t.tokens_in_flight
+
+  let token_holder_count t = t.holders
+
+  let in_cs t i = (node t i).in_cs
+
+  let in_cs_count t = t.in_cs_count
+
   let longest_owner_chain t =
     let n = Array.length t.nodes in
     let rec chain len i =
@@ -132,12 +156,12 @@ module Make (R : Runtime.S) = struct
     Array.fold_left (fun acc nd -> max acc (chain 0 nd.id)) 0 t.nodes
 
   let invariant_check t =
-    let holders = List.length (token_holders t) in
-    let in_cs = Array.fold_left (fun a nd -> if nd.in_cs then a + 1 else a) 0 t.nodes in
-    if in_cs > 1 then Error "mutual exclusion violated: >1 node in CS"
+    let holders = t.holders in
+    if t.in_cs_count > 1 then Error "mutual exclusion violated: >1 node in CS"
     else if holders + t.tokens_in_flight <> 1 then
       Error
         (Printf.sprintf "token count %d should be 1" (holders + t.tokens_in_flight))
+    else if holders > 1 then Error (simultaneous_holders (token_holders t))
     else Ok ()
 
   let instance t =

@@ -27,6 +27,14 @@ module Make (R : Runtime.S) : sig
 
   val token_holders : t -> node_id list
 
+  val token_holder_count : t -> int
+
+  val tokens_in_flight : t -> int
+
+  val in_cs : t -> node_id -> bool
+
+  val in_cs_count : t -> int
+
   val longest_owner_chain : t -> int
 
   val invariant_check : t -> (unit, string) result
@@ -57,6 +65,18 @@ val probable_owner : t -> node_id -> node_id option
 val next_pointer : t -> node_id -> node_id option
 
 val token_holders : t -> node_id list
+(** Nodes holding the token, by a scan over every node. *)
+
+val token_holder_count : t -> int
+(** [List.length (token_holders t)], kept as a counter: O(1). *)
+
+val tokens_in_flight : t -> int
+(** Tokens sent and not yet delivered (or dropped). *)
+
+val in_cs : t -> node_id -> bool
+
+val in_cs_count : t -> int
+(** Nodes in their critical section, kept as a counter: O(1). *)
 
 val longest_owner_chain : t -> int
 (** Length of the longest probable-owner chain — the quantity whose

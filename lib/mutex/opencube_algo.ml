@@ -111,7 +111,10 @@ module Make (R : Runtime.S) = struct
   type search = {
     mutable phase : int;
     mutable stage : search_stage;
-    mutable outstanding : node_id list;
+    mutable base : node_id;  (* first id of the current phase's ring *)
+    mutable outstanding : Bytes.t;
+        (* one byte per ring member, [base + j] at index [j]; non-zero
+           while that node's answer to this round of probes is awaited *)
     mutable try_later : node_id list;
     mutable retries : int;
     mutable phase_timer : R.timer option;
@@ -144,6 +147,8 @@ module Make (R : Runtime.S) = struct
     cold : cold option array;
     policy_rng : Ocube_sim.Rng.t;  (* for the Random_order queue policy *)
     mutable tokens_in_flight : int;
+    mutable holders : int;  (* nodes with fl_token set, failed ones included *)
+    mutable in_cs_count : int;  (* nodes with fl_in_cs set *)
     mutable s_token_regenerations : int;
     mutable s_searches_started : int;
     mutable s_search_nodes_tested : int;
@@ -169,9 +174,15 @@ module Make (R : Runtime.S) = struct
 
   let has_token t i = t.st.flags.{i} land fl_token <> 0
 
+  (* [set_token] and [set_in_cs] are the only writers of their flags
+     (besides the initial state): they keep [holders] and [in_cs_count]
+     exact, so the per-event invariant check is O(1). *)
   let set_token t i b =
     let f = t.st.flags.{i} in
-    t.st.flags.{i} <- (if b then f lor fl_token else f land lnot fl_token)
+    if b <> (f land fl_token <> 0) then begin
+      t.holders <- (if b then t.holders + 1 else t.holders - 1);
+      t.st.flags.{i} <- f lxor fl_token
+    end
 
   let is_asking t i = t.st.flags.{i} land fl_asking <> 0
 
@@ -183,7 +194,10 @@ module Make (R : Runtime.S) = struct
 
   let set_in_cs t i b =
     let f = t.st.flags.{i} in
-    t.st.flags.{i} <- (if b then f lor fl_in_cs else f land lnot fl_in_cs)
+    if b <> (f land fl_in_cs <> 0) then begin
+      t.in_cs_count <- (if b then t.in_cs_count + 1 else t.in_cs_count - 1);
+      t.st.flags.{i} <- f lxor fl_in_cs
+    end
 
   let lender_of t i = t.st.lender.{i}
 
@@ -267,6 +281,20 @@ module Make (R : Runtime.S) = struct
   (* ------------------------------------------------------------------ *)
   (* Small helpers                                                       *)
   (* ------------------------------------------------------------------ *)
+
+  (* The 2^(d-1) nodes at distance exactly d are the sibling (d-1)-block
+     [ring_base i d .. ring_base i d + 2^(d-1) - 1]. *)
+  let ring_base i d = ((i lsr (d - 1)) lxor 1) lsl (d - 1)
+
+  (* Membership in the current round of a search phase, O(1) per answer:
+     every probed node lies in the phase's ring block. *)
+  let awaited s k =
+    let j = k - s.base in
+    j >= 0 && j < Bytes.length s.outstanding
+    && Bytes.unsafe_get s.outstanding j <> '\000'
+
+  let answered s k =
+    if awaited s k then Bytes.unsafe_set s.outstanding (k - s.base) '\000'
 
   let power_of t i =
     match search_of t i with
@@ -805,11 +833,6 @@ module Make (R : Runtime.S) = struct
         s.phase_timer <- None;
         c.search <- None)
 
-  and ring_at_distance i d =
-    (* The 2^(d-1) nodes at distance exactly d: the sibling (d-1)-block. *)
-    let base = ((i lsr (d - 1)) lxor 1) lsl (d - 1) in
-    List.init (1 lsl (d - 1)) (fun k -> base + k)
-
   and asker_timeout t i =
     if is_asking t i
        && (not (has_token t i))
@@ -846,7 +869,8 @@ module Make (R : Runtime.S) = struct
         {
           phase;
           stage = Probing;
-          outstanding = [];
+          base = 0;
+          outstanding = Bytes.empty;
           try_later = [];
           retries = 0;
           phase_timer = None;
@@ -859,14 +883,17 @@ module Make (R : Runtime.S) = struct
   and run_phase t i s =
     if s.phase > t.pmax then begin_census t i s
     else begin
-      let ring = ring_at_distance i s.phase in
-      s.outstanding <- ring;
+      let size = 1 lsl (s.phase - 1) in
+      s.base <- ring_base i s.phase;
+      s.outstanding <- Bytes.make size '\001';
       s.try_later <- [];
-      t.s_search_nodes_tested <- t.s_search_nodes_tested + List.length ring;
+      t.s_search_nodes_tested <- t.s_search_nodes_tested + size;
       (* One payload for the whole wave: every destination receives the
          same immutable message. *)
       let probe = Message.Test { d = s.phase } in
-      List.iter (fun k -> send t ~src:i ~dst:k probe) ring;
+      for k = s.base to s.base + size - 1 do
+        send t ~src:i ~dst:k probe
+      done;
       arm_phase_timer t i s
     end
 
@@ -891,12 +918,16 @@ module Make (R : Runtime.S) = struct
              try-later nodes are revisited by the next search for this
              mandate, and regeneration stays safe behind the census. *)
           s.retries <- s.retries + 1;
-          s.outstanding <- s.try_later;
+          let retest = s.try_later in
           s.try_later <- [];
+          Bytes.fill s.outstanding 0 (Bytes.length s.outstanding) '\000';
+          List.iter
+            (fun k -> Bytes.unsafe_set s.outstanding (k - s.base) '\001')
+            retest;
           t.s_search_nodes_tested <-
-            t.s_search_nodes_tested + List.length s.outstanding;
+            t.s_search_nodes_tested + List.length retest;
           let probe = Message.Test { d = s.phase } in
-          List.iter (fun k -> send t ~src:i ~dst:k probe) s.outstanding;
+          List.iter (fun k -> send t ~src:i ~dst:k probe) retest;
           arm_phase_timer t i s
         end
         else begin
@@ -1073,13 +1104,13 @@ module Make (R : Runtime.S) = struct
         if List.mem from_ (excluded t i) then
           (* Adopting this node already failed to produce the token during
              this mandate: treat it as discarded. *)
-          s.outstanding <- List.filter (fun k -> k <> from_) s.outstanding
+          answered s from_
         else conclude_father t i from_
       | Try_later -> (
         match s.stage with
         | Probing ->
-          if d = s.phase && List.mem from_ s.outstanding then begin
-            s.outstanding <- List.filter (fun k -> k <> from_) s.outstanding;
+          if d = s.phase && awaited s from_ then begin
+            answered s from_;
             s.try_later <- from_ :: s.try_later
           end
         | Census _ -> ()))
@@ -1205,6 +1236,8 @@ module Make (R : Runtime.S) = struct
         cold = Array.make n None;
         policy_rng = Ocube_sim.Rng.create 0xc0be;
         tokens_in_flight = 0;
+        holders = 1;  (* node 0, see [make_state] *)
+        in_cs_count = 0;
         s_token_regenerations = 0;
         s_searches_started = 0;
         s_search_nodes_tested = 0;
@@ -1297,9 +1330,25 @@ module Make (R : Runtime.S) = struct
     done;
     !acc
 
+  let tokens_in_flight t = t.tokens_in_flight
+
+  let token_holder_count t =
+    if R.failed_count t.net = 0 then t.holders
+    else begin
+      (* Some node is down: subtract the tokens frozen at failed nodes,
+         which [token_holders] does not count either. *)
+      let frozen = ref 0 in
+      for i = 0 to t.n - 1 do
+        if has_token t i && R.is_failed t.net i then incr frozen
+      done;
+      t.holders - !frozen
+    end
+
   let is_asking = is_asking
 
   let in_cs = is_in_cs
+
+  let in_cs_count t = t.in_cs_count
 
   let queue_length t i =
     match t.cold.(i) with Some c -> Fdeque.length c.queue | None -> 0
@@ -1339,17 +1388,14 @@ module Make (R : Runtime.S) = struct
     }
 
   let invariant_check t =
-    let holders = List.length (token_holders t) in
-    let in_cs_count = ref 0 in
-    for i = 0 to t.n - 1 do
-      if is_in_cs t i then incr in_cs_count
-    done;
-    if !in_cs_count > 1 then Error "mutual exclusion violated: >1 node in CS"
+    let holders = token_holder_count t in
+    if t.in_cs_count > 1 then Error "mutual exclusion violated: >1 node in CS"
     else if holders + t.tokens_in_flight <> 1 then
       Error
         (Printf.sprintf "token count %d (held %d + in flight %d) should be 1"
            (holders + t.tokens_in_flight)
            holders t.tokens_in_flight)
+    else if holders > 1 then Error (simultaneous_holders (token_holders t))
     else Ok ()
 
   let check_opencube t =

@@ -116,9 +116,15 @@ module Make (R : Runtime.S) : sig
 
   val token_holders : t -> node_id list
 
+  val token_holder_count : t -> int
+
+  val tokens_in_flight : t -> int
+
   val is_asking : t -> node_id -> bool
 
   val in_cs : t -> node_id -> bool
+
+  val in_cs_count : t -> int
 
   val queue_length : t -> node_id -> int
 
@@ -170,10 +176,23 @@ val snapshot_tree : t -> node_id option array
 val power : t -> node_id -> int
 
 val token_holders : t -> node_id list
+(** Live nodes holding the token, by a scan over every node. A failed
+    node's frozen token is lost with it and does not count. *)
+
+val token_holder_count : t -> int
+(** [List.length (token_holders t)] from a counter: O(1) while every
+    node is up, a scan for the frozen tokens of failed nodes otherwise. *)
+
+val tokens_in_flight : t -> int
+(** Tokens sent and not yet delivered (or dropped). *)
 
 val is_asking : t -> node_id -> bool
 
 val in_cs : t -> node_id -> bool
+
+val in_cs_count : t -> int
+(** Nodes in their critical section (failed ones included), kept as a
+    counter: O(1). *)
 
 val queue_length : t -> node_id -> int
 
@@ -185,9 +204,10 @@ val describe : t -> node_id -> string
 val stats : t -> stats
 
 val invariant_check : t -> (unit, string) result
-(** Fault-free invariants: exactly one token (held or in flight), the
-    father pointers of connected nodes form a tree, at most one node in CS.
-    Tests call this at quiescent points of fault-free runs. *)
+(** Fault-free invariants: exactly one live token (held or in flight) and
+    at most one node in CS. Reads the counters, so it costs O(1) while
+    every node is up; the fuzz oracle calls it after every event of a
+    fault-free run. *)
 
 val check_opencube : t -> (unit, string) result
 (** Full open-cube structural check of the current father array. Only

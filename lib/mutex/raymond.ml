@@ -15,6 +15,8 @@ module Make (R : Runtime.S) = struct
     callbacks : callbacks;
     nodes : node array;
     mutable tokens_in_flight : int;
+    mutable self_holders : int;  (* nodes with [holder = id] *)
+    mutable using_count : int;  (* nodes with [using] *)
   }
 
   (* Raymond's REQUEST carries no payload; reuse the shared Request
@@ -22,6 +24,19 @@ module Make (R : Runtime.S) = struct
   let dummy_rid i = { source = i; seq = 0 }
 
   let node t i = t.nodes.(i)
+
+  (* The only writers of [holder] and [using]: they keep the two counts
+     exact, so the per-event invariant check is O(1). *)
+  let set_holder t nd h =
+    let self = h = nd.id in
+    if self <> (nd.holder = nd.id) then
+      t.self_holders <- (if self then t.self_holders + 1 else t.self_holders - 1);
+    nd.holder <- h
+
+  let set_using t nd b =
+    if b <> nd.using then
+      t.using_count <- (if b then t.using_count + 1 else t.using_count - 1);
+    nd.using <- b
 
   let send_request t ~src ~dst =
     R.send t.net ~src ~dst (Message.Request { origin = src; rid = dummy_rid src })
@@ -37,11 +52,11 @@ module Make (R : Runtime.S) = struct
     then begin
       let head = Queue.pop nd.request_q in
       if head = nd.id then begin
-        nd.using <- true;
+        set_using t nd true;
         t.callbacks.on_enter nd.id
       end
       else begin
-        nd.holder <- head;
+        set_holder t nd head;
         nd.asked <- false;
         send_token t ~src:nd.id ~dst:head;
         (* If others are still waiting here, immediately ask for the token
@@ -65,7 +80,7 @@ module Make (R : Runtime.S) = struct
       if nd.holder = nd.id then assign_privilege t nd else make_request t nd
     | Message.Token _ ->
       t.tokens_in_flight <- t.tokens_in_flight - 1;
-      nd.holder <- nd.id;
+      set_holder t nd nd.id;
       assign_privilege t nd
     | Message.Enquiry _ | Message.Enquiry_answer _ | Message.Test _
     | Message.Test_answer _ | Message.Anomaly _ | Message.Void _ | Message.Census _
@@ -101,6 +116,8 @@ module Make (R : Runtime.S) = struct
                 request_q = Queue.create ();
               });
         tokens_in_flight = 0;
+        self_holders = 1;  (* the root *)
+        using_count = 0;
       }
     in
     ignore !root;
@@ -118,7 +135,7 @@ module Make (R : Runtime.S) = struct
     let nd = node t i in
     if not nd.using then
       invalid_arg (Printf.sprintf "Raymond.release_cs: node %d not in CS" i);
-    nd.using <- false;
+    set_using t nd false;
     t.callbacks.on_exit i;
     assign_privilege t nd
 
@@ -129,19 +146,26 @@ module Make (R : Runtime.S) = struct
     |> List.filter_map (fun nd ->
            if nd.holder = nd.id then Some nd.id else None)
 
+  let tokens_in_flight t = t.tokens_in_flight
+
+  let token_holder_count t = t.self_holders
+
+  let in_cs t i = (node t i).using
+
+  let in_cs_count t = t.using_count
+
   let queue_length t i = Queue.length (node t i).request_q
 
   let invariant_check t =
-    (* Exactly one node may believe it is on the token side with the token
-       actually present; when the token is in flight both ends point at each
-       other transiently. We check the strong invariant only when no token is
-       in flight. *)
-    let self_holders = List.length (token_holders t) in
-    let using = Array.fold_left (fun a nd -> if nd.using then a + 1 else a) 0 t.nodes in
-    if using > 1 then Error "mutual exclusion violated: >1 node using"
+    (* At most one node may believe it is on the token side with the token
+       actually present; when the token is in flight no node does. We check
+       "exactly one" only when no token is in flight. *)
+    let self_holders = t.self_holders in
+    if t.using_count > 1 then Error "mutual exclusion violated: >1 node using"
     else if t.tokens_in_flight = 0 && self_holders <> 1 then
       Error (Printf.sprintf "%d self-holders with no token in flight" self_holders)
     else if t.tokens_in_flight + self_holders < 1 then Error "token vanished"
+    else if self_holders > 1 then Error (simultaneous_holders (token_holders t))
     else Ok ()
 
   let instance t =

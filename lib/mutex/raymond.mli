@@ -28,6 +28,14 @@ module Make (R : Runtime.S) : sig
 
   val token_holders : t -> node_id list
 
+  val token_holder_count : t -> int
+
+  val tokens_in_flight : t -> int
+
+  val in_cs : t -> node_id -> bool
+
+  val in_cs_count : t -> int
+
   val queue_length : t -> node_id -> int
 
   val invariant_check : t -> (unit, string) result
@@ -60,7 +68,21 @@ val holder : t -> node_id -> node_id
     token side of the tree). *)
 
 val token_holders : t -> node_id list
+(** Nodes with [holder = self], by a scan over every node. *)
+
+val token_holder_count : t -> int
+(** [List.length (token_holders t)], kept as a counter: O(1). *)
+
+val tokens_in_flight : t -> int
+(** Tokens sent and not yet delivered (or dropped). *)
+
+val in_cs : t -> node_id -> bool
+
+val in_cs_count : t -> int
+(** Nodes in their critical section, kept as a counter: O(1). *)
 
 val queue_length : t -> node_id -> int
 
 val invariant_check : t -> (unit, string) result
+(** O(1): at most one node in the CS, at most one self-holder, exactly
+    one while no token is in flight. *)

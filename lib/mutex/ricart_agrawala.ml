@@ -12,14 +12,26 @@ module Make (R : Runtime.S) = struct
     mutable deferred : node_id list;  (* replies withheld until exit *)
   }
 
-  type t = { net : R.t; callbacks : callbacks; nodes : node array }
+  type t = {
+    net : R.t;
+    callbacks : callbacks;
+    nodes : node array;
+    mutable in_cs_count : int;  (* nodes with [in_cs] *)
+  }
 
   let node t i = t.nodes.(i)
+
+  (* The only writer of [in_cs]: keeps the count exact, so the per-event
+     invariant check is O(1). *)
+  let set_in_cs t nd b =
+    if b <> nd.in_cs then
+      t.in_cs_count <- (if b then t.in_cs_count + 1 else t.in_cs_count - 1);
+    nd.in_cs <- b
 
   let n_of t = Array.length t.nodes
 
   let enter t nd =
-    nd.in_cs <- true;
+    set_in_cs t nd true;
     t.callbacks.on_enter nd.id
 
   (* Our pending request has priority over an incoming one iff its
@@ -64,6 +76,7 @@ module Make (R : Runtime.S) = struct
                 in_cs = false;
                 deferred = [];
               });
+        in_cs_count = 0;
       }
     in
     for i = 0 to n - 1 do
@@ -94,7 +107,7 @@ module Make (R : Runtime.S) = struct
     if not nd.in_cs then
       invalid_arg
         (Printf.sprintf "Ricart_agrawala.release_cs: node %d not in CS" i);
-    nd.in_cs <- false;
+    set_in_cs t nd false;
     nd.requesting <- false;
     t.callbacks.on_exit i;
     let waiting = List.rev nd.deferred in
@@ -103,11 +116,12 @@ module Make (R : Runtime.S) = struct
 
   let deferred t i = (node t i).deferred
 
+  let in_cs t i = (node t i).in_cs
+
+  let in_cs_count t = t.in_cs_count
+
   let invariant_check t =
-    let in_cs =
-      Array.fold_left (fun a nd -> if nd.in_cs then a + 1 else a) 0 t.nodes
-    in
-    if in_cs > 1 then Error "mutual exclusion violated: >1 node in CS" else Ok ()
+    if t.in_cs_count > 1 then Error "mutual exclusion violated: >1 node in CS" else Ok ()
 
   let instance t =
     {

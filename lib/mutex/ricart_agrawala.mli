@@ -23,6 +23,10 @@ module Make (R : Runtime.S) : sig
 
   val deferred : t -> node_id -> node_id list
 
+  val in_cs : t -> node_id -> bool
+
+  val in_cs_count : t -> int
+
   val invariant_check : t -> (unit, string) result
 end
 
@@ -44,5 +48,10 @@ val instance : t -> instance
 
 val deferred : t -> node_id -> node_id list
 (** Peers whose replies the node is withholding until it exits. *)
+
+val in_cs : t -> node_id -> bool
+
+val in_cs_count : t -> int
+(** Nodes in their critical section, kept as a counter: O(1). *)
 
 val invariant_check : t -> (unit, string) result

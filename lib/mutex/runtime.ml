@@ -27,6 +27,8 @@ module type S = sig
 
   val is_failed : t -> int -> bool
 
+  val failed_count : t -> int
+
   val incarnation : t -> int -> int
 end
 

@@ -69,6 +69,11 @@ module type S = sig
       runtime each node can only be asked about itself. Protocol cores
       use it only for self-checks and oracle introspection. *)
 
+  val failed_count : t -> int
+  (** Number of nodes currently crashed, as observable by the caller
+      (see {!is_failed}); O(1). Lets oracle introspection skip its
+      per-node crash filter while every node is up. *)
+
   val incarnation : t -> int -> int
   (** Monotone per-node restart counter (0 before any crash). The
       open-cube core salts regenerated sequence numbers with it. *)

@@ -19,11 +19,25 @@ module Make (R : Runtime.S) = struct
     callbacks : callbacks;
     nodes : node array;
     mutable tokens_in_flight : int;
+    mutable holders : int;  (* nodes with [has_token] *)
+    mutable in_cs_count : int;  (* nodes with [in_cs] *)
   }
 
   let node t i = t.nodes.(i)
 
   let n_of t = Array.length t.nodes
+
+  (* The only writers of [has_token] and [in_cs]: they keep the two
+     counts exact, so the per-event invariant check is O(1). *)
+  let set_has_token t nd b =
+    if b <> nd.has_token then
+      t.holders <- (if b then t.holders + 1 else t.holders - 1);
+    nd.has_token <- b
+
+  let set_in_cs t nd b =
+    if b <> nd.in_cs then
+      t.in_cs_count <- (if b then t.in_cs_count + 1 else t.in_cs_count - 1);
+    nd.in_cs <- b
 
   let broadcast_request t nd =
     let seq = nd.rn.(nd.id) in
@@ -33,11 +47,11 @@ module Make (R : Runtime.S) = struct
     done
 
   let enter t nd =
-    nd.in_cs <- true;
+    set_in_cs t nd true;
     t.callbacks.on_enter nd.id
 
   let send_token t nd dst =
-    nd.has_token <- false;
+    set_has_token t nd false;
     t.tokens_in_flight <- t.tokens_in_flight + 1;
     R.send t.net ~src:nd.id ~dst
       (Message.Sk_privilege { queue = Fdeque.to_list nd.tq; ln = Array.copy nd.ln })
@@ -71,7 +85,7 @@ module Make (R : Runtime.S) = struct
       update_queue_and_pass t nd
     | Message.Sk_privilege { queue; ln } ->
       t.tokens_in_flight <- t.tokens_in_flight - 1;
-      nd.has_token <- true;
+      set_has_token t nd true;
       nd.tq <- Fdeque.of_list queue;
       nd.ln <- ln;
       (* The token only travels towards a requester. *)
@@ -101,6 +115,8 @@ module Make (R : Runtime.S) = struct
                 ln = Array.make n 0;
               });
         tokens_in_flight = 0;
+        holders = 1;  (* node 0 *)
+        in_cs_count = 0;
       }
     in
     for i = 0 to n - 1 do
@@ -123,7 +139,7 @@ module Make (R : Runtime.S) = struct
     let nd = node t i in
     if not nd.in_cs then
       invalid_arg (Printf.sprintf "Suzuki_kasami.release_cs: node %d not in CS" i);
-    nd.in_cs <- false;
+    set_in_cs t nd false;
     nd.requesting <- false;
     t.callbacks.on_exit i;
     nd.ln.(i) <- nd.rn.(i);
@@ -133,20 +149,26 @@ module Make (R : Runtime.S) = struct
     Array.to_list t.nodes
     |> List.filter_map (fun nd -> if nd.has_token then Some nd.id else None)
 
+  let tokens_in_flight t = t.tokens_in_flight
+
+  let token_holder_count t = t.holders
+
+  let in_cs t i = (node t i).in_cs
+
+  let in_cs_count t = t.in_cs_count
+
   let token_queue t =
     match token_holders t with
     | [ h ] -> Fdeque.to_list (node t h).tq
     | _ -> []
 
   let invariant_check t =
-    let holders = List.length (token_holders t) in
-    let in_cs =
-      Array.fold_left (fun a nd -> if nd.in_cs then a + 1 else a) 0 t.nodes
-    in
-    if in_cs > 1 then Error "mutual exclusion violated: >1 node in CS"
+    let holders = t.holders in
+    if t.in_cs_count > 1 then Error "mutual exclusion violated: >1 node in CS"
     else if holders + t.tokens_in_flight <> 1 then
       Error
         (Printf.sprintf "token count %d should be 1" (holders + t.tokens_in_flight))
+    else if holders > 1 then Error (simultaneous_holders (token_holders t))
     else Ok ()
 
   let instance t =

@@ -24,6 +24,14 @@ module Make (R : Runtime.S) : sig
 
   val token_holders : t -> node_id list
 
+  val token_holder_count : t -> int
+
+  val tokens_in_flight : t -> int
+
+  val in_cs : t -> node_id -> bool
+
+  val in_cs_count : t -> int
+
   val token_queue : t -> node_id list
 
   val invariant_check : t -> (unit, string) result
@@ -47,6 +55,17 @@ val instance : t -> instance
 (** {1 Introspection} *)
 
 val token_holders : t -> node_id list
+
+val token_holder_count : t -> int
+(** [List.length (token_holders t)], kept as a counter: O(1). *)
+
+val tokens_in_flight : t -> int
+(** Tokens sent and not yet delivered (or dropped). *)
+
+val in_cs : t -> node_id -> bool
+
+val in_cs_count : t -> int
+(** Nodes in their critical section, kept as a counter: O(1). *)
 
 val token_queue : t -> node_id list
 (** The waiting queue carried by the token (holder-side view). *)

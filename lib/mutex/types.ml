@@ -133,6 +133,10 @@ type callbacks = {
 
 let null_callbacks = { on_enter = ignore; on_exit = ignore }
 
+let simultaneous_holders holders =
+  Printf.sprintf "token: %d simultaneous holders (%s)" (List.length holders)
+    (String.concat "," (List.map string_of_int holders))
+
 type instance = {
   algo_name : string;
   request_cs : node_id -> unit;

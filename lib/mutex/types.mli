@@ -132,6 +132,10 @@ type callbacks = {
 
 val null_callbacks : callbacks
 
+val simultaneous_holders : node_id list -> string
+(** The invariant-violation message for more than one token holder,
+    shared by every token algorithm's [invariant_check]. *)
+
 (** A running algorithm instance, as seen by the generic runner. Every
     algorithm module provides a [create] returning one of these. *)
 type instance = {

@@ -47,6 +47,7 @@ module Make (P : PAYLOAD) = struct
     mutable sent : int;
     mutable delivered : int;
     mutable dropped : int;
+    mutable failed_count : int;  (* nodes currently failed *)
     mutable drop_handler : (dst:int -> P.t -> unit) option;
     mutable default_handler : (dst:int -> src:int -> P.t -> unit) option;
     mutable send_hook : (src:int -> dst:int -> P.t -> unit) option;
@@ -224,6 +225,7 @@ module Make (P : PAYLOAD) = struct
         sent = 0;
         delivered = 0;
         dropped = 0;
+        failed_count = 0;
         drop_handler = None;
         default_handler = None;
         send_hook = None;
@@ -279,6 +281,7 @@ module Make (P : PAYLOAD) = struct
     let nd = t.nodes.(i) in
     if not nd.failed then begin
       nd.failed <- true;
+      t.failed_count <- t.failed_count + 1;
       nd.incarnation <- nd.incarnation + 1;
       record t ~node:i ~tag:"fault" (fun () -> "fail-stop")
     end
@@ -288,12 +291,15 @@ module Make (P : PAYLOAD) = struct
     let nd = t.nodes.(i) in
     if not nd.failed then invalid_arg "Network.recover: node is not failed";
     nd.failed <- false;
+    t.failed_count <- t.failed_count - 1;
     nd.incarnation <- nd.incarnation + 1;
     record t ~node:i ~tag:"fault" (fun () -> "recover")
 
   let is_failed t i =
     check_node t i;
     t.nodes.(i).failed
+
+  let failed_count t = t.failed_count
 
   let alive_nodes t =
     let acc = ref [] in

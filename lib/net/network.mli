@@ -124,6 +124,9 @@ module Make (P : PAYLOAD) : sig
 
   val is_failed : t -> int -> bool
 
+  val failed_count : t -> int
+  (** Number of nodes currently failed; O(1). *)
+
   val alive_nodes : t -> int list
 
   val incarnation : t -> int -> int

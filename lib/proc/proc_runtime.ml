@@ -85,6 +85,8 @@ let cancel_timer t id = t.timers <- List.filter (fun p -> p.id <> id) t.timers
    manifests only as silence — exactly the fail-stop model. *)
 let is_failed _ _ = false
 
+let failed_count _ = 0
+
 let incarnation _ _ = 0
 
 (* --- event-loop plumbing (used by Node_main, not part of Runtime.S) --- *)

@@ -51,6 +51,9 @@ val is_failed : t -> int -> bool
 (** Always [false]: a killed process runs no code, and its silence is
     the only failure signal the live nodes get (fail-stop). *)
 
+val failed_count : t -> int
+(** Always [0], for the same reason. *)
+
 val incarnation : t -> int -> int
 (** Always [0]: crash-real faults are permanent, nothing restarts. *)
 

@@ -257,6 +257,65 @@ let test_injected_bug_caught_and_shrunk () =
     | Ok _ -> Alcotest.fail "reparsed reproducer no longer fails"
     | Error _ -> ())
 
+(* A stop signal bounds the shrink: with [stop] firing after k shrink runs,
+   exactly k scenarios are run, and the result is the smallest failing
+   scenario found among them. A campaign whose stop fires after the
+   failing index hands the same bound to its shrink. *)
+let test_shrink_honours_stop () =
+  let builds = ref 0 in
+  let counting_build s =
+    incr builds;
+    always_grant_build s
+  in
+  let full = Fuzz.shrink ~build:counting_build overlapping_scenario in
+  let unbounded = !builds in
+  checkb "an unbounded shrink needs more than 3 runs" true (unbounded > 3);
+  List.iter
+    (fun k ->
+      builds := 0;
+      let stop () = !builds >= k in
+      let s = Fuzz.shrink ~build:counting_build ~stop overlapping_scenario in
+      checki (Printf.sprintf "k=%d: runs" k) k !builds;
+      checkb
+        (Printf.sprintf "k=%d: no larger than the input" k)
+        true
+        (List.length s.Scenario.arrivals
+        <= List.length overlapping_scenario.Scenario.arrivals);
+      match Fuzz.run ~build:always_grant_build s with
+      | Ok _ -> Alcotest.failf "k=%d: cut-short result does not fail" k
+      | Error _ -> ())
+    [ 0; 1; 3 ];
+  builds := 0;
+  let s = Fuzz.shrink ~build:counting_build ~stop:(fun () -> !builds >= unbounded)
+      overlapping_scenario in
+  checkb "a stop that never fires changes nothing" true
+    (String.equal (Scenario.to_string s) (Scenario.to_string full));
+  (* In a campaign: learn the failing index, then stop two shrink runs
+     after it. *)
+  let campaign stop =
+    builds := 0;
+    Fuzz.campaign ~build:counting_build ~stop ~iters:200 ~fuzz_seed:31 ()
+  in
+  let first =
+    match (campaign (fun () -> false)).Fuzz.failure with
+    | None -> Alcotest.fail "always-grant not caught"
+    | Some f -> f.Fuzz.index
+  in
+  let report = campaign (fun () -> !builds >= first + 3) in
+  match report.Fuzz.failure with
+  | None -> Alcotest.fail "always-grant not caught under a stop"
+  | Some f ->
+    checki "same failing index" first f.Fuzz.index;
+    checki "campaign runs plus two shrink runs" (first + 3) !builds;
+    checkb "reported reproducer still fails" true
+      (match Fuzz.run ~build:always_grant_build f.Fuzz.shrunk with
+      | Ok _ -> false
+      | Error _ -> true);
+    checkb "shrunk_error is the reproducer's" true
+      (match Fuzz.run ~build:always_grant_build f.Fuzz.shrunk with
+      | Error e -> String.equal e f.Fuzz.shrunk_error
+      | Ok _ -> false)
+
 (* With a buggy algorithm the parallel campaign must converge on the
    stream's *smallest* failing index — even though later indices in the
    same chunk also fail — and shrink it to the same reproducer. *)
@@ -309,5 +368,7 @@ let suite =
       test_regression_census_after_regen;
     Alcotest.test_case "injected always-grant bug caught and shrunk" `Quick
       test_injected_bug_caught_and_shrunk;
+    Alcotest.test_case "shrinking stops when the campaign's stop fires" `Quick
+      test_shrink_honours_stop;
   ]
   @ List.map (fun t -> QCheck_alcotest.to_alcotest ~long:false t) qcheck_tests

@@ -26,6 +26,7 @@ let () =
       ("par", Test_par.suite);
       ("obs", Test_obs.suite);
       ("fuzz", Test_fuzz.suite);
+      ("oracle", Test_oracle.suite);
       ("lint", Test_lint.suite);
       ("perf-smoke", Test_perf_smoke.suite);
     ]

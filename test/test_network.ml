@@ -171,10 +171,17 @@ let test_timer_cancel () =
 
 let test_alive_nodes_and_recover () =
   let _, net = make () in
+  checki "none failed" 0 (Net.failed_count net);
   Net.fail net 2;
+  Net.fail net 2;
+  checki "fail is idempotent in the count" 1 (Net.failed_count net);
   Alcotest.(check (list int)) "alive" [ 0; 1; 3 ] (Net.alive_nodes net);
   checkb "is_failed" true (Net.is_failed net 2);
+  Net.fail net 0;
+  checki "two failed" 2 (Net.failed_count net);
+  Net.recover net 0;
   Net.recover net 2;
+  checki "count back to zero" 0 (Net.failed_count net);
   Alcotest.(check (list int)) "all alive" [ 0; 1; 2; 3 ] (Net.alive_nodes net);
   Alcotest.check_raises "recover up node"
     (Invalid_argument "Network.recover: node is not failed") (fun () ->
