@@ -24,6 +24,7 @@
      dune exec bench/main.exe -- --compare OLD.json [--max-regression X]
                                                    diff against a baseline;
                                                    exit 3 beyond X (def. 2.0)
+                                                   after two re-measurements
      dune exec bench/main.exe -- -jobs N           domain pool width for the
                                                    experiment tables *)
 
@@ -424,6 +425,29 @@ let () =
   fanout Engine.Wheel "engine_fanout_wheel_64k";
   fanout Engine.Heap "engine_fanout_heap_64k"
 
+(* Network fan-out: one source sends a 65,536-destination wave of one
+   shared payload through [Net.send] — the census and test(d) shape —
+   and the engine drains it. Under constant δ the wave is one message
+   run: the kernel times the send path, the join test and the member
+   deliveries. Network and engine are reused across shots. *)
+let () =
+  let n = 65_537 in
+  let engine = Engine.create () in
+  let net =
+    Types.Net.create ~engine ~rng:(Rng.create 5) ~n
+      ~delay:(Ocube_net.Network.Constant 1.0) ()
+  in
+  let counter = ref 0 in
+  Types.Net.set_default_handler net (fun ~dst:_ ~src:_ _ -> incr counter);
+  let probe = Types.Message.Test { d = 16 } in
+  reg_median ~name:"net_wave_64k" ~layer:"network" (fun () ->
+      counter := 0;
+      for dst = 1 to n - 1 do
+        Types.Net.send net ~src:0 ~dst probe
+      done;
+      Engine.run engine;
+      assert (!counter = n - 1))
+
 (* One heavy-traffic open-loop cell (the sweep's unit of work): 64 nodes,
    aggregate Poisson at 1.2x capacity over 200 time units, drained. *)
 let () =
@@ -567,6 +591,7 @@ let quick_names =
     "engine_churn_heap_100k";
     "engine_fanout_wheel_64k";
     "engine_fanout_heap_64k";
+    "net_wave_64k";
     "sweep_open_loop_heavy_n64";
     "scale_packed_encode_256";
     "tbl_modelcheck_p2_w1";
@@ -615,11 +640,16 @@ let read_json file =
   close_in ic;
   List.rev !acc
 
-(* Median-of-single-shots for kernels above ~1 ms: two untimed warmup
-   calls (forcing lazy environments and warming allocator arenas), then
-   [shots] timed calls; the median per-op time has no regression fit to
-   go wrong. *)
+(* Median-of-single-shots for kernels above ~1 ms: a compaction, two
+   untimed warmup calls (forcing lazy environments and warming allocator
+   arenas), then [shots] timed calls; the median per-op time has no
+   regression fit to go wrong. The compaction keeps a kernel from timing
+   the heap earlier kernels left: without it, a full run (after ~40 OLS
+   kernels) timed these kernels 1.3-1.6x slower than a --quick run on the
+   same host, so a baseline from full runs let the quick gate pass up to
+   ~3x regressions. *)
 let run_median ~shots (name, batch, f) =
+  Gc.compact ();
   f ();
   f ();
   let times =
@@ -631,11 +661,65 @@ let run_median ~shots (name, batch, f) =
   Array.sort Float.compare times;
   (name, times.(shots / 2) /. float_of_int batch, nan, "median")
 
-let run_microbenchmarks ~quick =
-  let cfg =
-    if quick then Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.2) ~stabilize:true ()
-    else Benchmark.cfg ~limit:3000 ~quota:(Time.second 0.5) ~stabilize:true ()
+let bench_cfg ~quick =
+  if quick then Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.2) ~stabilize:true ()
+  else Benchmark.cfg ~limit:3000 ~quota:(Time.second 0.5) ~stabilize:true ()
+
+let median_shots ~quick = if quick then 7 else 11
+
+(* OLS rows are keyed "ocube/<kernel>"; the registry by "<kernel>". *)
+let kernel_of_row name =
+  match String.index_opt name '/' with
+  | Some i -> String.sub name (i + 1) (String.length name - i - 1)
+  | None -> name
+
+(* Bechamel OLS over a set of kernels: one (kernel, ns_per_iter, r2,
+   "ols") row each. *)
+let run_ols ~quick ols_kernels =
+  let tests =
+    Test.make_grouped ~name:"ocube" (List.map (fun (_, _, t) -> t) ols_kernels)
   in
+  let raw = Benchmark.all (bench_cfg ~quick) [ Instance.monotonic_clock ] tests in
+  let ols =
+    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
+  in
+  let results = Analyze.all ols Instance.monotonic_clock raw in
+  let batch_of name =
+    let base = kernel_of_row name in
+    match List.find_opt (fun (n, _, _) -> String.equal n base) ols_kernels with
+    | Some (_, b, _) -> b
+    | None -> 1
+  in
+  Hashtbl.fold
+    (fun name ols_result rows ->
+      let time_ns =
+        match Analyze.OLS.estimates ols_result with
+        | Some (t :: _) -> t /. float_of_int (batch_of name)
+        | _ -> nan
+      in
+      let r2 =
+        match Analyze.OLS.r_square ols_result with Some r -> r | None -> nan
+      in
+      (name, time_ns, r2, "ols") :: rows)
+    results []
+
+(* Measure one registered kernel again, alone: the --compare gate's
+   retry for a kernel over the limit. *)
+let remeasure ~quick name =
+  let base = kernel_of_row name in
+  match List.find_opt (fun (n, _, _) -> String.equal n base) !registry with
+  | Some (_, batch, Median f) ->
+    let _, t, r2, meth =
+      run_median ~shots:(median_shots ~quick) (base, batch, f)
+    in
+    Some (t, r2, meth)
+  | Some (_, batch, Ols t) -> (
+    match run_ols ~quick [ (base, batch, t) ] with
+    | [ (_, t, r2, meth) ] -> Some (t, r2, meth)
+    | _ -> None)
+  | None -> None
+
+let run_microbenchmarks ~quick =
   let kernels = List.rev !registry in
   let kernels =
     if quick then
@@ -654,25 +738,6 @@ let run_microbenchmarks ~quick =
         match k with Median f -> Some (name, batch, f) | Ols _ -> None)
       kernels
   in
-  let tests =
-    Test.make_grouped ~name:"ocube" (List.map (fun (_, _, t) -> t) ols_kernels)
-  in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let batch_of name =
-    (* results are keyed "ocube/<kernel>" *)
-    let base =
-      match String.index_opt name '/' with
-      | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-      | None -> name
-    in
-    match List.find_opt (fun (n, _, _) -> String.equal n base) ols_kernels with
-    | Some (_, b, _) -> b
-    | None -> 1
-  in
   let table =
     Ocube_stats.Table.create
       ~title:
@@ -687,20 +752,8 @@ let run_microbenchmarks ~quick =
         ]
       ()
   in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let time_ns =
-        match Analyze.OLS.estimates ols_result with
-        | Some (t :: _) -> t /. float_of_int (batch_of name)
-        | _ -> nan
-      in
-      let r2 =
-        match Analyze.OLS.r_square ols_result with Some r -> r | None -> nan
-      in
-      rows := (name, time_ns, r2, "ols") :: !rows)
-    results;
-  let shots = if quick then 7 else 11 in
+  let rows = ref (run_ols ~quick ols_kernels) in
+  let shots = median_shots ~quick in
   List.iter
     (fun k -> rows := run_median ~shots k :: !rows)
     median_kernels;
@@ -725,8 +778,27 @@ let run_microbenchmarks ~quick =
   Ocube_stats.Table.print table;
   rows
 
-let compare_against ~baseline_file ~max_regression rows =
+(* A kernel over the limit is measured up to [retries] more times, alone,
+   and gated on the fastest of its measurements: the baselines are
+   themselves minima of several runs, and a single slow shot on a shared
+   host is noise, not a regression. A real slowdown is slow every time. *)
+let retries = 2
+
+let compare_against ~quick ~baseline_file ~max_regression rows =
   let baseline = read_json baseline_file in
+  let reliable meth r2 =
+    String.equal meth "median" || ((not (Float.is_nan r2)) && r2 >= 0.8)
+  in
+  let retried = ref [] in
+  let rec retry name old best k =
+    if k = 0 || best /. old <= max_regression then best
+    else
+      match remeasure ~quick name with
+      | Some (t, r2, meth) when reliable meth r2 ->
+        retried := (name, t) :: !retried;
+        retry name old (Float.min best t) (k - 1)
+      | Some _ | None -> retry name old best (k - 1)
+  in
   let table =
     Ocube_stats.Table.create
       ~title:
@@ -756,14 +828,12 @@ let compare_against ~baseline_file ~max_regression rows =
         Ocube_stats.Table.add_row table
           [ name; "-"; pretty now; "(new - not in baseline)" ]
       | Some old when (not (Float.is_nan now)) && old > 0.0 ->
-        let ratio = now /. old in
         (* A poor OLS fit means the estimate itself is unreliable (noisy
            runner, GC spike): report it but keep it out of the gate.
            Median rows carry no fit and always gate. *)
-        let reliable =
-          String.equal meth "median"
-          || ((not (Float.is_nan r2)) && r2 >= 0.8)
-        in
+        let reliable = reliable meth r2 in
+        let now = if reliable then retry name old now retries else now in
+        let ratio = now /. old in
         if reliable then begin
           if ratio > snd !worst then worst := (name, ratio);
           if ratio > max_regression then regressed := (name, ratio) :: !regressed
@@ -779,6 +849,11 @@ let compare_against ~baseline_file ~max_regression rows =
       | Some _ -> ())
     rows;
   Ocube_stats.Table.print table;
+  List.iter
+    (fun (name, t) ->
+      Printf.printf "re-measured %s: %s (the table shows the fastest run)\n"
+        name (pretty t))
+    (List.rev !retried);
   (* Report every kernel beyond the limit, not just the worst one: a CI
      run that trips on several fronts should say so in one pass. *)
   match List.rev !regressed with
@@ -836,7 +911,7 @@ let () =
       Printf.printf "wrote %d kernel estimates to %s\n" (List.length rows) file
     | None -> ());
     (match compare_file with
-    | Some file -> compare_against ~baseline_file:file ~max_regression rows
+    | Some file -> compare_against ~quick ~baseline_file:file ~max_regression rows
     | None -> ());
     print_newline ()
   end;

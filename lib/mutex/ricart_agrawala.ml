@@ -95,10 +95,10 @@ module Make (R : Runtime.S) = struct
     if n = 1 then enter t nd
     else begin
       nd.replies_missing <- n - 1;
+      (* One payload for the whole broadcast (one network run). *)
+      let req = Message.Ra_request { origin = i; clock = nd.req_clock } in
       for j = 0 to n - 1 do
-        if j <> i then
-          R.send t.net ~src:i ~dst:j
-            (Message.Ra_request { origin = i; clock = nd.req_clock })
+        if j <> i then R.send t.net ~src:i ~dst:j req
       done
     end
 

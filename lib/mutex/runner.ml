@@ -202,7 +202,9 @@ let make_obs ~engine ~net ~n =
           ~help:"wish-to-entry latency in milli-time-units";
       g_pending =
         Metrics.gauge reg ~name:"engine_pending_events_max"
-          ~help:"event-queue depth watermark (node 0 carries the value)";
+          ~help:
+            "event-queue depth watermark; a message run is one event (node 0 \
+             carries the value)";
     }
   in
   (* Message tap: count every send against its source and charge

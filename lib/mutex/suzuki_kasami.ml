@@ -39,11 +39,13 @@ module Make (R : Runtime.S) = struct
       t.in_cs_count <- (if b then t.in_cs_count + 1 else t.in_cs_count - 1);
     nd.in_cs <- b
 
+  (* One payload for the whole broadcast: every destination receives the
+     same immutable message, and the network delivers the wave as one
+     run. *)
   let broadcast_request t nd =
-    let seq = nd.rn.(nd.id) in
+    let req = Message.Sk_request { origin = nd.id; seq = nd.rn.(nd.id) } in
     for j = 0 to n_of t - 1 do
-      if j <> nd.id then
-        R.send t.net ~src:nd.id ~dst:j (Message.Sk_request { origin = nd.id; seq })
+      if j <> nd.id then R.send t.net ~src:nd.id ~dst:j req
     done
 
   let enter t nd =

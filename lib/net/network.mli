@@ -15,7 +15,25 @@
       messages and timers from a previous incarnation never fire.
 
     The functor is generic in the payload type so that each protocol defines
-    its own message variant. *)
+    its own message variant.
+
+    Delivery is by {e message runs}. A send whose message is the next
+    member of the run last scheduled — same source, physically the same
+    payload, the next destination id, the same sampled delay, the run
+    still the engine's most recent event with nothing fired since, and
+    no node failed or recovered since the run began — joins that run
+    instead of scheduling an event of its own ({!Ocube_sim.Engine.extend}).
+    Each member keeps exactly the engine slot its own event would have
+    had, so delivery order, RNG draws, hooks and counters are those of
+    one event per message; a fan-out wave of [k] messages costs one
+    queue entry. Losses are decided per member, at delivery, from a log
+    of fail/recover transitions: a member is lost iff its destination is
+    down or has failed or recovered since its run began.
+
+    Per-node state is flat — a byte per node for the failed flag, an int
+    for the incarnation, and per-node handlers only once {!set_handler}
+    is first called — so building a [2^16]-node network allocates three
+    arrays, not one record per node. *)
 
 module type PAYLOAD = sig
   type t
@@ -96,11 +114,13 @@ module Make (P : PAYLOAD) : sig
   (** {1 Communication} *)
 
   val send : t -> src:int -> dst:int -> P.t -> unit
-  (** Sample a delay and schedule delivery. Sending from a failed node is a
-      programming error ([Invalid_argument]): a fail-stop node takes no
-      action. Sending {e to} a failed (or about-to-fail) node silently loses
-      the message, as the model prescribes. [src = dst] is allowed and goes
-      through the same delay pipeline. *)
+  (** Sample a delay and schedule delivery, as a new run or as the next
+      member of the last one (see the header). Sending from a failed node
+      is a programming error ([Invalid_argument]): a fail-stop node takes
+      no action. Sending {e to} a failed (or about-to-fail) node silently
+      loses the message, as the model prescribes. [src = dst] is allowed
+      and goes through the same delay pipeline. To let a broadcast ride
+      one run, build its payload once, before the loop. *)
 
   (** {1 Timers} *)
 

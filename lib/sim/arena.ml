@@ -8,6 +8,11 @@
    freelists without a single heap allocation. Closure events keep their
    thunk in a side array whose free slots hold a shared dummy.
 
+   A packed slot may carry a run of [count] members instead of one event
+   (see {!Engine.extend}): member [i] has payload [(a, b + i)] and the
+   [(time, seq + i)] key. [take_member] drops the head member by bumping
+   [b] and [seq], so the slot's key is always its head member's.
+
    Slot states are encoded in [kind]:
      kind = -2  free (on the freelist)
      kind = -1  tombstone: cancelled, still linked inside a queue; the
@@ -43,6 +48,7 @@ type t = {
   mutable b : int array;
   mutable thunk : (unit -> unit) array;
   mutable next : int array;
+  mutable count : int array;
   mutable free_head : int;
   mutable next_seq : int;
   mutable live : int;
@@ -59,6 +65,7 @@ let create () =
     b = [||];
     thunk = [||];
     next = [||];
+    count = [||];
     free_head = no_slot;
     next_seq = 0;
     live = 0;
@@ -83,6 +90,7 @@ let[@ocube.alloc_ok (* amortised doubling: the schedule path pays it
   t.b <- extend t.b 0;
   t.thunk <- extend t.thunk dummy_thunk;
   t.next <- extend t.next no_slot;
+  t.count <- extend t.count 0;
   t.time <- ntime;
   (* Thread the new slots onto the freelist, low index first. *)
   for s = ncap - 1 downto t.cap do
@@ -106,8 +114,24 @@ let[@ocube.zero_alloc] alloc t ~kind ~a ~b thunk =
   t.b.(s) <- b;
   t.thunk.(s) <- thunk;
   t.next.(s) <- no_slot;
+  t.count.(s) <- 1;
   t.live <- t.live + 1;
   s
+
+(* One more member for the run in live slot [s]: it takes the next
+   sequence number, exactly the one a separate event would have drawn. *)
+let[@ocube.zero_alloc] extend t s =
+  t.count.(s) <- t.count.(s) + 1;
+  t.next_seq <- t.next_seq + 1
+
+let[@ocube.zero_alloc] members t s = t.count.(s)
+
+(* Drop the head member of a run that has more than one left: the next
+   member's payload word and sequence number are one higher. *)
+let[@ocube.zero_alloc] take_member t s =
+  t.count.(s) <- t.count.(s) - 1;
+  t.b.(s) <- t.b.(s) + 1;
+  t.seq.(s) <- t.seq.(s) + 1
 
 let[@ocube.zero_alloc] id_of t s =
   ((t.gen.(s) land gen_mask) lsl slot_bits) lor s

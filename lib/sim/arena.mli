@@ -6,7 +6,12 @@
     [next] link), so the hot schedule/fire path allocates nothing once
     the arrays are warm. Generation stamps make cancellation O(1) and
     timer ids immune to slot recycling, and the [live] counter is the
-    exact number of pending (scheduled, uncancelled, unfired) events. *)
+    exact number of pending (scheduled, uncancelled, unfired) events.
+
+    A slot may hold a {e run}: [k] members with payloads [(a, b)],
+    [(a, b + 1)], ..., [(a, b + k - 1)] and consecutive sequence numbers,
+    which the engine fires one by one ({!Ocube_sim.Engine.extend}). A run
+    is one live event however many members it has left. *)
 
 type t
 
@@ -22,6 +27,19 @@ val alloc : t -> kind:int -> a:int -> b:int -> (unit -> unit) -> int
     pass a shared dummy. The caller must stamp the fire time with
     {!set_time} before handing the slot to a queue — [alloc] takes no
     float argument so the schedule path never boxes one. *)
+
+val extend : t -> int -> unit
+(** Append one member to the run in a live slot: it takes the next
+    sequence number, as a separately allocated event would have. The
+    caller guarantees that no other slot was allocated since. *)
+
+val members : t -> int -> int
+(** Members left in a live slot (1 for a plain event). *)
+
+val take_member : t -> int -> unit
+(** Drop the head member of a slot with at least two members left: the
+    slot's [b] word and sequence number advance to the next member's, so
+    its [(time, seq)] key stays its head member's. *)
 
 val id_of : t -> int -> int
 (** Generation-stamped timer id for a just-allocated slot. *)

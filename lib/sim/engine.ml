@@ -20,7 +20,16 @@
    Dispatch is class-based: class 0 calls the slot's stored thunk (the
    general [schedule] path), classes registered with [register_class]
    receive the slot's two int payload words — the network's hot
-   delivery path schedules those without allocating a closure. *)
+   delivery path schedules those without allocating a closure.
+
+   A packed event can grow into a run ([extend]): while it is the most
+   recently scheduled event and nothing has fired since, each extension
+   appends a member with payload [(a, b + i)] and the very [(time, seq)]
+   key a separate [schedule_packed] would have drawn. No other event can
+   hold a key between two members, so firing the run member by member
+   (each one a step) is the order the separate events would have fired
+   in. The run being fired is held in [cur], outside the queue: every
+   event scheduled meanwhile has a later key. *)
 
 type timer_id = int
 
@@ -69,7 +78,17 @@ type t = {
   mutable hooks : (hook_id * (unit -> unit)) list;
   mutable next_hook : int;
   mutable primary_hook : hook_id option;
+  (* Id of the most recently scheduled packed event while no event has
+     fired since and it was not cancelled: the one event [extend] may
+     grow. [no_run] otherwise. *)
+  mutable open_run : timer_id;
+  (* Slot of a run fired part-way: its head member is the next event. *)
+  mutable cur : int;
 }
+
+let no_run = -1
+
+let no_timer = no_run
 
 let closure_class : class_id = 0
 
@@ -97,6 +116,8 @@ let create ?sched ?(tick = 0.25) () =
     hooks = [];
     next_hook = 0;
     primary_hook = None;
+    open_run = no_run;
+    cur = Arena.no_slot;
   }
 
 let scheduler t = t.sched
@@ -153,6 +174,7 @@ let schedule_at t ~time action =
   let s = Arena.alloc t.arena ~kind:closure_class ~a:0 ~b:0 action in
   Arena.set_time t.arena s time;
   enqueue t s;
+  t.open_run <- no_run;
   Arena.id_of t.arena s
 
 let schedule t ~delay action =
@@ -170,9 +192,20 @@ let[@ocube.zero_alloc] schedule_packed t ~delay ~cls ~a ~b =
      the packed path allocates nothing (see {!Arena.times}). *)
   Float.Array.set (Arena.times t.arena) s (Float.Array.get t.clock 0 +. delay);
   enqueue t s;
-  Arena.id_of t.arena s
+  let id = Arena.id_of t.arena s in
+  t.open_run <- id;
+  id
 
-let[@ocube.zero_alloc] cancel t id = ignore (Arena.cancel t.arena id)
+let[@ocube.zero_alloc] extend t id =
+  if (not (Int.equal id no_run)) && Int.equal id t.open_run then begin
+    Arena.extend t.arena (Arena.slot_of_id id);
+    true
+  end
+  else false
+
+let[@ocube.zero_alloc] cancel t id =
+  if Int.equal id t.open_run then t.open_run <- no_run;
+  ignore (Arena.cancel t.arena id)
 
 let pending t = Arena.live t.arena
 
@@ -188,17 +221,32 @@ let[@ocube.zero_alloc] rec heap_pop_live t h =
   end
   else s
 
-let[@ocube.zero_alloc] next_live t =
+let[@ocube.zero_alloc] pop_queue t =
   match t.queue with
   | Qwheel w -> Wheel.pop w
   | Qheap h -> heap_pop_live t h
 
-(* Advance the clock and dispatch a popped slot. The slot is released
-   before the handler runs: the handler may schedule new events (which
-   recycle it immediately — the arena stays as small as the peak live
-   count) and a [cancel] of the fired id inside the handler is a
-   harmless stale-id no-op. *)
+(* The slot whose head member fires next: a run fired part-way comes
+   before anything in the queue (see the header), unless it was
+   cancelled meanwhile. *)
+let[@ocube.zero_alloc] next_live t =
+  let c = t.cur in
+  if c = Arena.no_slot then pop_queue t
+  else if Arena.is_tombstone t.arena c then begin
+    Arena.release t.arena c;
+    t.cur <- Arena.no_slot;
+    pop_queue t
+  end
+  else c
+
+(* Advance the clock and dispatch the head member of a slot. The slot is
+   released when its last member is taken, before the handler runs: the
+   handler may schedule new events (which recycle it immediately — the
+   arena stays as small as the peak live count) and a [cancel] of the
+   fired id inside the handler is a harmless stale-id no-op. A run with
+   members left stays in [cur]. Any fire closes the open run. *)
 let[@ocube.zero_alloc] fire t s =
+  t.open_run <- no_run;
   Float.Array.set t.clock 0 (Float.Array.get (Arena.times t.arena) s);
   let kind = Arena.kind t.arena s in
   let a = Arena.payload_a t.arena s in
@@ -209,7 +257,14 @@ let[@ocube.zero_alloc] fire t s =
       (* flat array read; the arrow in the result type is the stored
          thunk itself, not an un-applied parameter *)]
   in
-  Arena.release t.arena s;
+  if Arena.members t.arena s > 1 then begin
+    Arena.take_member t.arena s;
+    t.cur <- s
+  end
+  else begin
+    t.cur <- Arena.no_slot;
+    Arena.release t.arena s
+  end;
   (if Int.equal kind closure_class then f () else t.classes.(kind) a b)
   [@ocube.alloc_ok
     (* dynamic dispatch into the event's own handler: the packed-path
@@ -233,7 +288,10 @@ let run ?(until = infinity) ?(max_steps = max_int) t =
     else if Float.Array.get (Arena.times t.arena) s > until then begin
       (* Put it back: the horizon was reached. [Wheel.insert] re-buckets
          by the event's time, so a far-future event does not pollute the
-         wheel's current tick. *)
+         wheel's current tick. A run fired part-way goes back too: its
+         key is its head member's, and the clock is about to move back
+         to [until], below it. *)
+      if s = t.cur then t.cur <- Arena.no_slot;
       enqueue t s;
       Float.Array.set t.clock 0 until;
       continue := false

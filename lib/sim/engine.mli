@@ -17,12 +17,23 @@
     ({!Ocube_net.Network}, the mutual-exclusion runner) build on [schedule]
     and [cancel]. The hot paths can avoid closures entirely: register a
     dispatch class once and schedule packed events carrying two int
-    payload words ({!register_class}, {!schedule_packed}). *)
+    payload words ({!register_class}, {!schedule_packed}).
+
+    A packed event can carry a {e run} of members ({!extend}): one queue
+    entry that delivers [handler a b], [handler a (b + 1)], ... at one
+    instant, each member holding exactly the [(time, seq)] slot it would
+    have had as its own event. A fan-out wave then costs one queue
+    insert and one pop however wide it is, and fires in the same order,
+    step by step, as the separate events would have. *)
 
 type t
 
 type timer_id
 (** Handle for a scheduled event, used to cancel it. *)
+
+val no_timer : timer_id
+(** An id no event ever has: {!cancel} ignores it and {!extend} refuses
+    it. For initialising a mutable handle without an option box. *)
 
 (** {1 Scheduler selection} *)
 
@@ -77,6 +88,19 @@ val schedule_packed :
 (** Like {!schedule}, but fires [handler a b] for the registered class
     instead of a closure. Same validation and ordering as {!schedule}. *)
 
+val extend : t -> timer_id -> bool
+(** [extend t id] appends one member to the packed event [id], turning
+    it into (or growing) a run: a run scheduled as [~a ~b] with [k]
+    members fires [handler a b], [handler a (b + 1)], ...,
+    [handler a (b + k - 1)], in that order, at its one fire time. It
+    succeeds, and returns [true], only while [id] is the most recently
+    scheduled event, no event has fired since it was scheduled and it
+    was not cancelled; then the new member takes the sequence number a
+    fresh [schedule_packed] with the same delay would have taken, so the
+    fire order is exactly that of separate events. Otherwise it changes
+    nothing and returns [false]. Cancelling a run cancels the members it
+    has left. *)
+
 (** {1 Running} *)
 
 val cancel : t -> timer_id -> unit
@@ -85,17 +109,22 @@ val cancel : t -> timer_id -> unit
     handles harmless). *)
 
 val pending : t -> int
-(** Exact number of live pending events: scheduled, not yet fired, not
-    cancelled. Cancelled events leave the count immediately. *)
+(** Exact number of live pending events: scheduled, not yet fired (or,
+    for a run, with members left), not cancelled. A run counts as one
+    event however many members it has left. Cancelled events leave the
+    count immediately. *)
 
 val step : t -> bool
-(** Execute the earliest pending event. Returns [false] when the queue is
-    empty (and leaves the clock untouched). *)
+(** Execute the earliest pending event — for a run, its next member.
+    Returns [false] when the queue is empty (and leaves the clock
+    untouched). *)
 
 val run : ?until:float -> ?max_steps:int -> t -> unit
 (** Run events in order until the queue is empty, the clock would pass
     [until], or [max_steps] events have executed. Events scheduled exactly at
-    [until] still fire. *)
+    [until] still fire. Each member of a run is one event: step hooks run
+    after every member, and [max_steps] may stop a run part-way; the
+    next [step] or [run] continues it. *)
 
 val quiescent : t -> bool
 (** [true] when no live (non-cancelled) event remains. *)

@@ -3,6 +3,7 @@ let () =
     [
       ("sim", Test_sim.suite);
       ("sim.wheel", Test_wheel.suite);
+      ("sim.runs", Test_runs.suite);
       ("stats", Test_stats.suite);
       ("topology.opencube", Test_opencube.suite);
       ("topology.trees", Test_static_tree.suite);

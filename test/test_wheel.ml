@@ -367,12 +367,26 @@ let test_fanout_until_pushback () =
              ~a:(wave + 100 + a) ~b:0)
       done)
 
+module Wave_msg = struct
+  type t = Probe of int
+
+  let pp ppf (Probe d) = Format.fprintf ppf "probe(%d)" d
+
+  let categories = [| "probe" |]
+
+  let category_index (Probe _) = 0
+end
+
+module Wave_net = Ocube_net.Network.Make (Wave_msg)
+
 (* Steady-state packed schedule/fire must not allocate on the minor heap:
    the whole point of the arena encoding is a closure-free hot path. The
    budget (a tenth of a word per event) only absorbs the measurement's
-   own boxed [Gc.minor_words] results. Three shapes: small bursts, a
-   2^16-event same-time wave (one sorted run), and a cascaded wave whose
-   tick mixes level-1 and level-0 halves (an unsorted bucket, merged). *)
+   own boxed [Gc.minor_words] results. Four shapes: small bursts, a
+   2^16-event same-time wave (one sorted run), a cascaded wave whose
+   tick mixes level-1 and level-0 halves (an unsorted bucket, merged),
+   and a 2^16-member [Net.send] wave (one message run: the send path,
+   the join test and every member delivery). *)
 let test_packed_zero_alloc () =
   let e = Engine.create ~sched:Engine.Wheel () in
   let acc = ref 0 in
@@ -416,9 +430,25 @@ let test_packed_zero_alloc () =
       (Printf.sprintf "allocation-free %s (%.3f words/event)" name per_event)
       true (per_event <= 0.1)
   in
+  let net_wave =
+    let engine = Engine.create ~sched:Engine.Wheel () in
+    let net =
+      Wave_net.create ~engine ~rng:(Ocube_sim.Rng.create 1) ~n:(wave + 1)
+        ~delay:(Ocube_net.Network.Constant 1.0) ()
+    in
+    Wave_net.set_default_handler net (fun ~dst ~src:_ _ -> acc := !acc + dst);
+    (* one payload for the wave, as the protocols send it *)
+    let probe = Wave_msg.Probe 3 in
+    fun () ->
+      for dst = 1 to wave do
+        Wave_net.send net ~src:0 ~dst probe
+      done;
+      Engine.run engine
+  in
   per_event "schedule/fire" 1024 (burst 1024);
   per_event "same-time wave" wave (burst wave);
-  per_event "cascaded wave" wave cascaded
+  per_event "cascaded wave" wave cascaded;
+  per_event "Net.send wave" wave net_wave
 
 (* --- qcheck: randomized script parity -------------------------------------- *)
 
